@@ -25,7 +25,7 @@ from .engine import (
     spair,
 )
 from .errors import FuelExhausted, ParseError, WritError
-from .evaluator import DEFAULT_FUEL, Fuel, evaluate, evaluate_with_oracle
+from .evaluator import DEFAULT_FUEL, Fuel, evaluate, evaluate_typed
 from .instantiations import (
     Instantiation,
     bounded_cost,
@@ -47,6 +47,7 @@ from .signatures import (
     signature_for,
     system_t,
     system_t_list,
+    with_oracle,
 )
 from .syntax import (
     App,
@@ -186,7 +187,11 @@ def verify_modulus(
     base = system_t()
     try:
         rep = modulus(e, g, fuel, inst=inst)
-        res = evaluate_with_oracle(base, applied, g, fuel)
+        live = with_oracle(base, g)
+        # alpha has one type under every oracle, so this check covers the
+        # perturbed runs below as well
+        typecheck(live, {}, applied)
+        res = evaluate_typed(live, applied, fuel)
     except WritError as err:
         return _fail(term_id, analysis, _err(err), trials=trials, seed=seed)
     evidence: dict[str, object] = {
@@ -217,7 +222,7 @@ def verify_modulus(
         )
         mutated = Table(pairs, default=0)
         try:
-            res_m = evaluate_with_oracle(base, applied, mutated, fuel)
+            res_m = evaluate_typed(with_oracle(base, mutated), applied, fuel)
         except WritError as err:
             return _fail(term_id, analysis, _err(err),
                          {**evidence, "mutated_positions": chosen}, trials, seed)

@@ -13,9 +13,9 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence, Union
+from typing import Any, Callable, Mapping, Sequence, Union
 
-from .errors import DuplicateSymbol, ShapeMismatch, UndeclaredSymbol
+from .errors import DuplicateSymbol, UndeclaredSymbol
 from .parser import parse_type
 from .syntax import (
     LIST,
@@ -33,9 +33,6 @@ from .syntax import (
     Ty,
     Var,
     app,
-    list_value,
-    numeral,
-    numeral_value,
     render_type,
     symbols,
 )
@@ -62,16 +59,17 @@ class Rule:
 
 @dataclass(frozen=True)
 class Builtin:
-    """A schematic rule family.
+    """A schematic rule family computed on the host.
 
-    delta maps a full vector of argument values to the contractum; the unfold
-    costs exactly one step, like any rule. Oracle builtins additionally log
-    their numeric argument when unfolded.
+    delta maps a full vector of argument values to the result value, both
+    in host form: a numeral is an int and a list literal a sequence of ints.
+    The unfold costs exactly one step, like any rule. Oracle builtins
+    additionally log their numeric argument when unfolded.
     """
 
     name: str
     arity: int
-    delta: Callable[[Sequence[Term]], Term]
+    delta: Callable[[Sequence[Any]], Any]
     is_oracle: bool = False
 
 
@@ -149,8 +147,7 @@ class Signature:
             return decl
         m = _FAMILY_RE.match(name)
         if m and m.group(1) in self._families:
-            index = parse_type(m.group(2))
-            return _rec_decl(index) if m.group(1) == "rec" else _fold_decl(index)
+            return _family_decl(name)
         raise UndeclaredSymbol(name)
 
     def func_type(self, name: str) -> Ty:
@@ -165,6 +162,15 @@ class Signature:
 
 
 # ---------------------------------------------------------------- recursors
+
+@lru_cache(maxsize=None)
+def _family_decl(name: str) -> FuncDecl:
+    """The member of a recursor family named rec[t] or fold[t], with its
+    index type parsed once per name."""
+    kind, index = _FAMILY_RE.match(name).groups()
+    index_ty = parse_type(index)
+    return _rec_decl(index_ty) if kind == "rec" else _fold_decl(index_ty)
+
 
 @lru_cache(maxsize=None)
 def _rec_decl(index: Ty) -> FuncDecl:
@@ -206,41 +212,26 @@ def _fold_decl(index: Ty) -> FuncDecl:
 
 # ---------------------------------------------------------------- builtins
 
-def _nat(v: Term) -> int:
-    n = numeral_value(v)
-    if n is None:
-        raise ShapeMismatch("numeral", v)
-    return n
+def _delta_add(args: Sequence[int]) -> int:
+    return args[0] + args[1]
 
 
-def _items(v: Term) -> tuple[int, ...]:
-    items = list_value(v)
-    if items is None:
-        raise ShapeMismatch("list literal", v)
-    return items
+def _delta_mul(args: Sequence[int]) -> int:
+    return args[0] * args[1]
 
 
-def _delta_add(args: Sequence[Term]) -> Term:
-    return numeral(_nat(args[0]) + _nat(args[1]))
-
-
-def _delta_mul(args: Sequence[Term]) -> Term:
-    return numeral(_nat(args[0]) * _nat(args[1]))
-
-
-def _delta_lt(args: Sequence[Term]) -> Term:
+def _delta_lt(args: Sequence[int]) -> int:
     # numeral 0 means "yes, less than"; anything else is refuted by 1
-    return numeral(0 if _nat(args[0]) < _nat(args[1]) else 1)
+    return 0 if args[0] < args[1] else 1
 
 
-def _delta_len(args: Sequence[Term]) -> Term:
-    return numeral(len(_items(args[0])))
+def _delta_len(args: Sequence[Sequence[int]]) -> int:
+    return len(args[0])
 
 
-def _delta_ext(args: Sequence[Term]) -> Term:
-    items = _items(args[0])
-    n = _nat(args[1])
-    return numeral(items[n] if n < len(items) else 0)
+def _delta_ext(args: Sequence[Any]) -> int:
+    items, n = args
+    return items[n] if n < len(items) else 0
 
 
 _NAT2 = Arrow(NAT, Arrow(NAT, NAT))
@@ -348,8 +339,8 @@ def with_oracle(sig: Signature, g: "OracleSpec") -> Signature:
     if sig.has_func("alpha") or sig.has_cons("alpha"):
         raise DuplicateSymbol("alpha")
 
-    def delta(args: Sequence[Term]) -> Term:
-        return numeral(g(_nat(args[0])))
+    def delta(args: Sequence[int]) -> int:
+        return g(args[0])
 
     functions = dict(sig._funcs)
     functions["alpha"] = FuncDecl(

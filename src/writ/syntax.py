@@ -1,9 +1,11 @@
 """Types, terms, patterns, and the value grammar of the object language.
 
-Terms are immutable trees. Evaluation is substitution based, so a value is a
-closed term of restricted shape; see is_value. Numerals and list literals are
-not separate node kinds, they are the usual constructor spines, and the
-helpers here convert between them and Python ints/tuples.
+Terms are immutable trees. A value is a closed term of restricted shape;
+see is_value. The evaluator computes on host forms of values and reads its
+result back as such a term; substitute and match_pattern give the rewriting
+semantics it must agree with. Numerals and list literals are not separate
+node kinds, they are the usual constructor spines, and the helpers here
+convert between them and Python ints/tuples.
 """
 
 from __future__ import annotations
@@ -129,8 +131,8 @@ def spine(t: Term) -> tuple[Term, tuple[Term, ...]]:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    # iterative: evaluation substitutes values into terms, so results can be
-    # far deeper than any source program (a numeral per arithmetic output)
+    # iterative: values read back into terms can be far deeper than any
+    # source program (a numeral per arithmetic output)
     free: set[str] = set()
     todo: list[tuple[Term, frozenset[str]]] = [(t, frozenset())]
     while todo:
@@ -312,8 +314,8 @@ def is_value(sig: "Signature", t: Term) -> bool:
     applied to strictly fewer arguments than their arity (all arguments again
     values), and lambdas whose body has no free variable beyond the binder.
     """
-    # iterative for the same reason as free_vars: values reached by
-    # evaluation nest constructors as deep as the numbers they encode
+    # iterative for the same reason as free_vars: values of evaluation
+    # nest constructors as deep as the numbers they encode
     todo: list[Term] = [t]
     while todo:
         s = todo.pop()
@@ -347,8 +349,28 @@ def _check_datatypes(sig: "Signature", ty: Ty) -> None:
     _check_datatypes(sig, ty.cod)
 
 
+def _literal_type(sig: "Signature", t: Term) -> Optional[Ty]:
+    """Nat or List for a numeral or list literal whose constructors have
+    their usual types, found without recursion; None for anything else."""
+    if numeral_value(t) is not None:
+        ty, cons = NAT, (("zero", NAT), ("succ", Arrow(NAT, NAT)))
+    elif list_value(t) is not None:
+        ty, cons = LIST, (("zero", NAT), ("succ", Arrow(NAT, NAT)), ("nil", LIST),
+                          ("cons", Arrow(LIST, Arrow(NAT, LIST))))
+    else:
+        return None
+    if all(sig.has_cons(name) and sig.cons_type(name) == want for name, want in cons):
+        return ty
+    return None
+
+
 def typecheck(sig: "Signature", ctx: TyContext, t: Term) -> Ty:
     """Type a term in context; raises on any violation."""
+    if isinstance(t, App):
+        # literals nest as deep as the numbers they encode
+        lit = _literal_type(sig, t)
+        if lit is not None:
+            return lit
     if isinstance(t, Var):
         if t.name not in ctx:
             raise UnboundVariable(t.name)

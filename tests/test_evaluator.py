@@ -1,5 +1,7 @@
 """Step-counted evaluation against hand-derived traces."""
 
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -196,3 +198,29 @@ def test_lambda_may_capture_a_huge_numeral_and_still_be_a_value():
     assert res.steps == 2
     assert isinstance(res.value, Lam)
     assert numeral_value(res.value.body) == 249002
+
+
+def test_deep_runs_need_no_more_than_the_default_recursion_limit():
+    # the machine keeps pending work on its own stack, not the host's, and
+    # the typechecker takes numeral and list literals whole
+    succ_recs = [parse_term(f"rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) {n}")
+                 for n in (900, 3000)]
+    items = [i % 10 for i in range(400)]
+    fold = parse_term("fold[Nat] 0 (fn n:Nat => fn p:Nat => add n p) "
+                      f"[{','.join(map(str, items))}]")
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    hit_limit = False
+    try:
+        counted = [evaluate(system_t(), t) for t in succ_recs]
+        summed = evaluate(system_t_list(), fold)
+    except RecursionError:
+        # flagged, not raised: reporting a traceback a thousand frames deep,
+        # with deep terms in its locals, takes pytest minutes
+        hit_limit = True
+    finally:
+        sys.setrecursionlimit(old)
+    assert not hit_limit, "evaluation hit the host recursion limit"
+    assert [(numeral_value(r.value), r.steps) for r in counted] == [
+        (900, 3 * 900 + 1), (3000, 3 * 3000 + 1)]
+    assert (numeral_value(summed.value), summed.steps) == (sum(items), 4 * 400 + 1)

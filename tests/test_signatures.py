@@ -20,7 +20,6 @@ from writ import (
     list_term,
     match_pattern,
     numeral,
-    numeral_value,
     oracle_from_json,
     oracle_from_string,
     oracle_label,
@@ -100,25 +99,26 @@ def test_fold_rule_recurses_on_the_list_prefix():
 
 
 def test_builtin_deltas():
+    # builtins compute on host values: ints for numerals, sequences for lists
     sig = bar_rec()
 
     def run(name, *args):
         impl = sig.func_decl(name).impl
         assert isinstance(impl, Builtin)
-        return numeral_value(impl.delta(args))
+        return impl.delta(args)
 
-    assert run("add", numeral(2), numeral(3)) == 5
-    assert run("mul", numeral(3), numeral(4)) == 12
-    assert run("lt", numeral(2), numeral(5)) == 0
-    assert run("lt", numeral(5), numeral(2)) == 1
-    assert run("lt", numeral(3), numeral(3)) == 1
-    assert run("len", list_term([7, 7, 7])) == 3
-    assert run("len", list_term([])) == 0
-    assert run("ext", list_term([4, 5]), numeral(1)) == 5
-    assert run("ext", list_term([4, 5]), numeral(0)) == 4
+    assert run("add", 2, 3) == 5
+    assert run("mul", 3, 4) == 12
+    assert run("lt", 2, 5) == 0
+    assert run("lt", 5, 2) == 1
+    assert run("lt", 3, 3) == 1
+    assert run("len", (7, 7, 7)) == 3
+    assert run("len", ()) == 0
+    assert run("ext", (4, 5), 1) == 5
+    assert run("ext", (4, 5), 0) == 4
     # out-of-range reads pad with zero
-    assert run("ext", list_term([4, 5]), numeral(9)) == 0
-    assert run("ext", list_term([]), numeral(0)) == 0
+    assert run("ext", (4, 5), 9) == 0
+    assert run("ext", (), 0) == 0
 
 
 def test_search_combinator_rules():
@@ -177,7 +177,7 @@ def test_with_oracle_adds_alpha_once():
     assert decl.ty == Arrow(NAT, NAT)
     assert isinstance(decl.impl, Builtin)
     assert decl.impl.is_oracle
-    assert numeral_value(decl.impl.delta((numeral(9),))) == 5
+    assert decl.impl.delta((9,)) == 5
     with pytest.raises(DuplicateSymbol):
         with_oracle(sig, Identity())
 
@@ -186,7 +186,7 @@ def test_with_oracle_preserves_base_symbols():
     sig = with_oracle(bar_rec(), Identity())
     assert sig.has_func("bar")
     assert sig.has_func("rec[Nat]")
-    assert numeral_value(sig.func_decl("alpha").impl.delta((numeral(3),))) == 3
+    assert sig.func_decl("alpha").impl.delta((3,)) == 3
 
 
 def test_oracle_specs_compute():

@@ -181,6 +181,19 @@ def test_typecheck_errors():
         typecheck(sig, {}, Func("len"))
     with pytest.raises(UndeclaredSymbol):
         typecheck(sig, {}, Lam("xs", LIST, Var("xs")))
+    # a literal is typed whole only where its constructors are declared
+    with pytest.raises(UndeclaredSymbol):
+        typecheck(sig, {}, list_term([1, 2]))
+
+
+def test_typecheck_takes_literals_whole():
+    # literals far deeper than the recursion limit, alone and as an argument
+    try:
+        types = (typecheck(system_t(), {}, numeral(50_000)),
+                 typecheck(system_t_list(), {}, App(Func("len"), list_term([50_000] * 3))))
+    except RecursionError:
+        types = None  # not raised: pytest takes minutes over a traceback this deep
+    assert types == (NAT, NAT)
 
 
 def test_render_type_parenthesizes_arrow_domains():
