@@ -44,6 +44,13 @@ _SIGS = {"t": system_t, "list": system_t_list, "bar": bar_rec}
 
 _COMMANDS = ("check", "eval", "translate", "modulus", "cost", "bound", "majorize", "verify")
 
+# CPython's default recursion limit
+_IN_PLACE_LIMIT = 1000
+# commands that recurse once per unfolding of every recursor in the term:
+# on a term that needs the worker, an attempt in place fails only well into
+# the run, so they start on the worker
+_UNFOLDING = frozenset({"cost", "bound", "majorize", "modulus"})
+
 
 @dataclass(frozen=True)
 class CliConfig:
@@ -255,12 +262,33 @@ def _run_verify(config: CliConfig) -> int:
 
 
 def _run_roomy(config: CliConfig) -> int:
-    """Run one command on a worker thread with a stack sized for deep terms.
+    """Run one command, on a worker thread with a stack sized for deep terms
+    when the calling thread's own stack may not do.
 
-    The analyses recurse over term structure, so the recursion limit has to
-    be generous; the main thread's C stack is fixed at process start and can
-    overflow (and kill the process) before the interpreter's limit fires.
-    A worker thread can ask for the stack its limit actually needs."""
+    The analyses recurse over term structure, so deep terms need a generous
+    recursion limit; the calling thread's C stack is fixed when it starts
+    and can overflow (and kill the process) before the interpreter's limit
+    fires. A worker thread can ask for the stack its limit actually needs,
+    but starting one costs more than evaluating a typical term, and that
+    cost varies with the host far more than the command's own work does.
+    So a command outside _UNFOLDING first runs in place under CPython's
+    default limit, which default stacks are sized for, and runs again on
+    the worker only if its term needs more. Nothing is printed before a
+    command finishes, so the first attempt leaves no trace."""
+    if config.command not in _UNFOLDING:
+        old_limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(min(old_limit, _IN_PLACE_LIMIT))
+        except RecursionError:
+            pass  # the caller is already deeper than that
+        else:
+            try:
+                return _run(config)
+            except RecursionError:
+                pass
+            finally:
+                sys.setrecursionlimit(old_limit)
+
     box: list[tuple[str, object]] = []
 
     def work() -> None:

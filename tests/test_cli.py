@@ -233,3 +233,54 @@ def test_pathological_nesting_fails_cleanly(wt, capsys):
     code, _, err = run(capsys, "check", wt("deep.wt", "succ 50000"))
     assert code == 2
     assert "deeply nested" in err
+
+
+@pytest.fixture
+def threads(monkeypatch):
+    """Names of the threads the CLI starts."""
+    import threading
+
+    started = []
+    real = threading.Thread
+
+    class Counting(real):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(threading, "Thread", Counting)
+    return started
+
+
+def test_commands_that_fit_run_on_the_calling_thread(wt, capsys, threads):
+    import sys
+
+    limit = sys.getrecursionlimit()
+    assert run(capsys, "eval", wt("rec3.wt", REC3)) == (0, '{"value":"3","steps":10}\n', "")
+    assert run(capsys, "check", wt("ff2.wt", FF2))[0] == 0
+    assert run(capsys, "verify", wt("ann.wt", f"-- analyses: cost,majorant\n{REC3}"))[0] == 0
+    assert threads == []
+    assert sys.getrecursionlimit() == limit
+
+
+def test_a_term_too_deep_for_the_calling_thread_runs_again_on_the_worker(wt, capsys, threads):
+    # symbols recurses once per successor, past CPython's default limit
+    deep = wt("deep.wt", "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3000")
+    assert run(capsys, "eval", deep) == (0, '{"value":"3000","steps":9001}\n', "")
+    assert run(capsys, "check", deep) == (0, '{"type":"Nat"}\n', "")
+    assert threads == ["writ-run", "writ-run"]
+
+
+def test_a_caller_already_past_the_default_limit_gets_the_worker(wt, capsys, threads):
+    path = wt("rec3.wt", REC3)
+
+    def nest(k):
+        return nest(k - 1) if k else run(capsys, "eval", path)
+
+    assert nest(1100) == (0, '{"value":"3","steps":10}\n', "")
+    assert threads == ["writ-run"]
+
+
+def test_unfolding_analyses_start_on_the_worker(wt, capsys, threads):
+    assert run(capsys, "cost", wt("rec3.wt", REC3))[0] == 0
+    assert threads == ["writ-run"]
