@@ -46,9 +46,10 @@ _COMMANDS = ("check", "eval", "translate", "modulus", "cost", "bound", "majorize
 
 # CPython's default recursion limit
 _IN_PLACE_LIMIT = 1000
-# commands that recurse once per unfolding of every recursor in the term:
-# on a term that needs the worker, an attempt in place fails only well into
-# the run, so they start on the worker
+# commands whose work recurses on the host stack well into the run (the
+# bar/bar1 denotations once per search round, translate and denote once per
+# constructor of a literal): on a term that needs the worker, an attempt in
+# place fails late, so they start on the worker
 _UNFOLDING = frozenset({"cost", "bound", "majorize", "modulus"})
 
 
@@ -149,11 +150,6 @@ def _typing_signature(config: CliConfig, term: Term) -> Signature:
     return base
 
 
-def _semantic_json(v) -> object:
-    out = render_semval(v)
-    return out
-
-
 def _run(config: CliConfig) -> int:
     if config.command == "verify":
         return _run_verify(config)
@@ -208,7 +204,7 @@ def _run(config: CliConfig) -> int:
         rep = exact_cost(term, sig, config.fuel)
         obj = {
             "predicted": rep.predicted,
-            "semantic": _semantic_json(rep.semantic),
+            "semantic": render_semval(rep.semantic),
             "mode": rep.mode,
         }
         _emit(config, obj, [f"predicted = {rep.predicted}",
@@ -219,7 +215,7 @@ def _run(config: CliConfig) -> int:
         rep = bounded_cost(term, config.fuel)
         obj = {
             "predicted": rep.predicted,
-            "semantic": _semantic_json(rep.semantic),
+            "semantic": render_semval(rep.semantic),
             "mode": rep.mode,
         }
         _emit(config, obj, [f"predicted <= {rep.predicted}",
@@ -232,7 +228,7 @@ def _run(config: CliConfig) -> int:
             obj = {"majorant": maj.value}
             _emit(config, obj, [f"majorant = {maj.value}"])
         else:
-            obj = {"majorant": _semantic_json(maj)}
+            obj = {"majorant": render_semval(maj)}
             _emit(config, obj, [f"majorant = {obj['majorant']}"])
         return 0
 
@@ -292,11 +288,15 @@ def _run_roomy(config: CliConfig) -> int:
     box: list[tuple[str, object]] = []
 
     def work() -> None:
+        # the limit is interpreter-wide: give the caller's back afterwards
+        old_limit = sys.getrecursionlimit()
         sys.setrecursionlimit(40_000)
         try:
             box.append(("ok", _run(config)))
         except BaseException as err:
             box.append(("err", err))
+        finally:
+            sys.setrecursionlimit(old_limit)
 
     old = threading.stack_size()
     try:

@@ -151,14 +151,12 @@ def render_semval(v: SemVal) -> object:
 class Instantiation:
     """An analysis: one effect algebra plus symbol interpretations.
 
-    domains documents which SemVal shape inhabits each lifted datatype.
     func_families interprets every member of an indexed family at once,
     keyed by the family head (e.g. "rec" covers rec[Nat], rec[Nat->Nat], ...).
     """
 
     name: str
     effect: EffectTriple
-    domains: Mapping[str, str]
     cons_interp: Mapping[str, SemVal]
     func_interp: Mapping[str, SemVal]
     func_families: Mapping[str, SemVal] = field(default_factory=dict)

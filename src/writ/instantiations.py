@@ -7,15 +7,21 @@
 - cost_bounded: values are size bounds and effects are step-count upper
   bounds over the list fragment.
 - majorizability: no effect at all; values dominate the true results.
+
+Every recursor of every analysis is one combinator, recursor: a loop that
+climbs from the base case and charges each unfold under the analysis's
+effect triple. It unfolds at most the analysis's fuel in stages per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import repeat
+from typing import Callable, Iterable, Optional
 
-from .errors import FuelExhausted, TypeMismatch, UnsupportedSymbol
+from .errors import FuelExhausted, ShapeMismatch, TypeMismatch, UnsupportedSymbol
 from .engine import (
+    _SEARCH_DEPTH,
     COST,
     QUERIES,
     TRIVIAL,
@@ -25,6 +31,7 @@ from .engine import (
     Instantiation,
     SemVal,
     SFun,
+    _pad,
     as_base,
     as_fun,
     as_list,
@@ -33,7 +40,6 @@ from .engine import (
     pair_parts,
     spair,
 )
-from .errors import ShapeMismatch
 from .evaluator import DEFAULT_FUEL, Fuel
 from .meta import translate
 from .signatures import OracleSpec, Signature, signature_for, system_t, system_t_list
@@ -51,15 +57,11 @@ __all__ = [
     "ModulusReport", "CostReport", "EXACT", "BOUND",
     "continuity_inst", "cost_exact_inst", "cost_bounded_inst", "majorizability_inst",
     "modulus", "exact_cost", "bounded_cost", "majorant",
-    "spector_closed_form", "semantic_join",
+    "spector_closed_form", "semantic_join", "recursor",
 ]
 
 EXACT = "exact"
 BOUND = "bound"
-
-# host recursion guard for search denotations; see the evaluator's Fuel for
-# the step-level budget
-_SEARCH_DEPTH = 2000
 
 
 @dataclass(frozen=True)
@@ -80,10 +82,6 @@ class CostReport:
 
 # ---------------------------------------------------------------- shared pieces
 
-def _succ_interp() -> SemVal:
-    return SFun(lambda n: Base(as_base(n).value + 1))
-
-
 def _exact_cons() -> dict[str, SemVal]:
     return {
         "zero": Base(0),
@@ -95,58 +93,67 @@ def _exact_cons() -> dict[str, SemVal]:
     }
 
 
-def _rec_family(eff: EffectTriple) -> SemVal:
-    """Numeral recursion, one charged unfold per layer.
+def recursor(
+    eff: EffectTriple,
+    indices: Callable[[SemVal], Iterable[int]],
+    fuel: Fuel = DEFAULT_FUEL,
+    join: Optional[Callable[[SemVal, SemVal], SemVal]] = None,
+    *,
+    envelope: bool = False,
+) -> SemVal:
+    """A recursor family: base, then step, then the recursion argument.
 
-    The same code serves both the query effect (inc is the identity, com is
-    concatenation) and the step-count effect (inc is +1, com is the sum).
+    indices turns the argument into the stage indices, in the order the
+    stages run (range(n) for rec, the items for fold). The loop starts at
+    inc(eps) with the base value; each stage applies the step to its index
+    and then to the value so far, and charges inc(com(c_step, c_so_far,
+    c_call)), which is what the nested unfold of the rewrite rules charges.
+
+    With a join, each stage's output is joined with the base value before
+    the next stage reads it; with a join and envelope, the stages read each
+    other's outputs as they are and the result is the join of every stage.
+    The two differ for steps that do not distribute over joins. A call
+    raises FuelExhausted before it unfolds more than fuel.max_steps stages.
     """
 
-    def run(acc: SemVal, step: SemVal, n: int) -> SemVal:
-        if n == 0:
-            return spair(eff.inc(eff.eps), acc)
-        c_prev, prev = pair_parts(run(acc, step, n - 1))
-        c_step, applied = pair_parts(as_fun(step).fn(Base(n - 1)))
-        c_call, out = pair_parts(as_fun(applied).fn(prev))
-        return spair(eff.inc(eff.com(c_step, c_prev, c_call)), out)
+    def run(base: SemVal, step: SemVal, arg: SemVal) -> SemVal:
+        c = eff.inc(eff.eps)
+        cur = result = base
+        for k, i in enumerate(indices(arg)):
+            if k == fuel.max_steps:
+                raise FuelExhausted(fuel.max_steps)
+            c_step, applied = pair_parts(as_fun(step).fn(Base(i)))
+            c_call, out = pair_parts(as_fun(applied).fn(cur))
+            c = eff.inc(eff.com(c_step, c, c_call))
+            if envelope:
+                cur, result = out, join(result, out)
+            else:
+                cur = result = out if join is None else join(base, out)
+        return spair(c, result)
 
-    return SFun(
-        lambda a: SFun(lambda f: SFun(lambda n: run(a, f, as_base(n).value)))
-    )
-
-
-def _fold_family(eff: EffectTriple) -> SemVal:
-    """List recursion, consuming the rightmost element first."""
-
-    def run(acc: SemVal, step: SemVal, items: tuple[int, ...]) -> SemVal:
-        if not items:
-            return spair(eff.inc(eff.eps), acc)
-        c_prev, prev = pair_parts(run(acc, step, items[:-1]))
-        c_step, applied = pair_parts(as_fun(step).fn(Base(items[-1])))
-        c_call, out = pair_parts(as_fun(applied).fn(prev))
-        return spair(eff.inc(eff.com(c_step, c_prev, c_call)), out)
-
-    return SFun(
-        lambda a: SFun(lambda f: SFun(lambda xs: run(a, f, as_list(xs).items)))
-    )
+    return SFun(lambda a: SFun(lambda f: SFun(lambda n: run(a, f, n))))
 
 
-def _charged_bin(op: Callable[[int, int], int]) -> SemVal:
+def _rec_indices(n: SemVal) -> range:
+    return range(as_base(n).value)
+
+
+def _fold_indices(xs: SemVal) -> tuple[int, ...]:
+    return as_list(xs).items
+
+
+def _charged_bin(op: Callable[[int, int], int], charge: object = 1) -> SemVal:
     # builtins charge their single step when the last argument lands
     return SFun(
         lambda m: SFun(
-            lambda n: spair(1, Base(op(as_base(m).value, as_base(n).value)))
+            lambda n: spair(charge, Base(op(as_base(m).value, as_base(n).value)))
         )
     )
 
 
-def _pad(items: tuple[int, ...], n: int) -> int:
-    return items[n] if n < len(items) else 0
-
-
 # ---------------------------------------------------------------- continuity
 
-def continuity_inst(g: OracleSpec) -> Instantiation:
+def continuity_inst(g: OracleSpec, fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
     """Query-log effects over the numeral-recursion fragment plus the oracle."""
 
     def alpha(n: SemVal) -> SemVal:
@@ -156,10 +163,9 @@ def continuity_inst(g: OracleSpec) -> Instantiation:
     return Instantiation(
         name="continuity",
         effect=QUERIES,
-        domains={"Nat": "Base"},
-        cons_interp={"zero": Base(0), "succ": _succ_interp()},
+        cons_interp={"zero": Base(0), "succ": _exact_cons()["succ"]},
         func_interp={"alpha": SFun(alpha)},
-        func_families={"rec": _rec_family(QUERIES)},
+        func_families={"rec": recursor(QUERIES, _rec_indices, fuel)},
     )
 
 
@@ -238,7 +244,6 @@ def cost_exact_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
     return Instantiation(
         name="cost_exact",
         effect=COST,
-        domains={"Nat": "Base", "List": "BaseList"},
         cons_interp=_exact_cons(),
         func_interp={
             "add": _charged_bin(lambda m, n: m + n),
@@ -253,7 +258,10 @@ def cost_exact_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
             "bar": bar,
             "bar1": bar1,
         },
-        func_families={"rec": _rec_family(COST), "fold": _fold_family(COST)},
+        func_families={
+            "rec": recursor(COST, _rec_indices, fuel),
+            "fold": recursor(COST, _fold_indices, fuel),
+        },
     )
 
 
@@ -280,32 +288,25 @@ def semantic_join(
     raise ShapeMismatch("joinable pair of equal shapes", y)
 
 
-def _fold_bounded() -> SemVal:
-    """List recursion on sizes: every element reads as size one, the result
-    joins the base bound with the last step's bound."""
-
-    def run(acc: SemVal, step: SemVal, m: int) -> SemVal:
-        if m == 0:
-            return spair(1, acc)
-        c_prev, prev = pair_parts(run(acc, step, m - 1))
-        c_step, applied = pair_parts(as_fun(step).fn(Base(1)))
-        c_call, out = pair_parts(as_fun(applied).fn(prev))
-        joined = semantic_join(acc, out, lambda a, b: max(a, b))
-        return spair(1 + c_step + c_prev + c_call, joined)
-
-    return SFun(lambda a: SFun(lambda f: SFun(lambda m: run(a, f, as_base(m).value))))
+def _size_indices(m: SemVal) -> Iterable[int]:
+    # every element of a list of size m reads as size one
+    return repeat(1, as_base(m).value)
 
 
-def cost_bounded_inst() -> Instantiation:
+def _join_max(x: SemVal, y: SemVal) -> SemVal:
+    return semantic_join(x, y, max)
+
+
+def cost_bounded_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
     """Size-based step bounds over the list fragment.
 
     Numerals all have size one, so a list's size is its length and the
-    analysis stays finite without looking at actual numbers.
+    analysis stays finite without looking at actual numbers. List
+    recursion joins the base bound with each stage's bound.
     """
     return Instantiation(
         name="cost_bounded",
         effect=COST,
-        domains={"Nat": "Base", "List": "Base"},
         cons_interp={
             "zero": Base(1),
             "succ": SFun(lambda n: Base(1)),
@@ -318,7 +319,7 @@ def cost_bounded_inst() -> Instantiation:
             "lt": _charged_bin(lambda m, n: 1),
             "len": SFun(lambda m: spair(1, Base(1))),
         },
-        func_families={"fold": _fold_bounded()},
+        func_families={"fold": recursor(COST, _size_indices, fuel, _join_max)},
     )
 
 
@@ -328,45 +329,26 @@ def _join_flat(x: SemVal, y: SemVal) -> SemVal:
     return semantic_join(x, y, lambda a, b: None)
 
 
-def _rec_majorized() -> SemVal:
-    """Monotone envelope of numeral recursion: the join of every stage up to
-    the argument, so the result dominates recursion at any smaller index too."""
+def majorizability_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
+    """No effect; every value dominates the true one pointwise.
 
-    def run(acc: SemVal, step: SemVal, n: int) -> SemVal:
-        best = acc
-        cur = acc
-        for i in range(n):
-            _, applied = pair_parts(as_fun(step).fn(Base(i)))
-            _, cur = pair_parts(as_fun(applied).fn(cur))
-            best = _join_flat(best, cur)
-        return spair(None, best)
-
-    return SFun(lambda a: SFun(lambda f: SFun(lambda n: run(a, f, as_base(n).value))))
-
-
-def majorizability_inst() -> Instantiation:
-    """No effect; every value dominates the true one pointwise."""
+    Numeral recursion yields the join of every stage up to the argument, so
+    the result dominates recursion at any smaller index too.
+    """
     return Instantiation(
         name="majorizability",
         effect=TRIVIAL,
-        domains={"Nat": "Base"},
-        cons_interp={"zero": Base(0), "succ": SFun(lambda n: Base(as_base(n).value + 1))},
+        cons_interp={"zero": Base(0), "succ": _exact_cons()["succ"]},
         func_interp={
-            "add": SFun(
-                lambda m: SFun(
-                    lambda n: spair(None, Base(as_base(m).value + as_base(n).value))
-                )
-            ),
-            "mul": SFun(
-                lambda m: SFun(
-                    lambda n: spair(None, Base(as_base(m).value * as_base(n).value))
-                )
-            ),
+            "add": _charged_bin(lambda m, n: m + n, None),
+            "mul": _charged_bin(lambda m, n: m * n, None),
             # comparisons only ever produce 0 or 1; the constant covers both,
             # whereas the exact comparison is not monotone and so no majorant
-            "lt": SFun(lambda m: SFun(lambda n: spair(None, Base(1)))),
+            "lt": _charged_bin(lambda m, n: 1, None),
         },
-        func_families={"rec": _rec_majorized()},
+        func_families={
+            "rec": recursor(TRIVIAL, _rec_indices, fuel, _join_flat, envelope=True)
+        },
     )
 
 
@@ -393,7 +375,7 @@ def modulus(
     ty = typecheck(sig, {}, e)
     if ty != _TYPE_TWO:
         raise TypeMismatch(render_type(_TYPE_TWO), render_type(ty), render_term(e))
-    active = inst if inst is not None else continuity_inst(g)
+    active = inst if inst is not None else continuity_inst(g, fuel)
     den = denote(active, {}, translate(sig, {}, e))
     oracle_sem = spair(
         (), SFun(lambda n: spair((as_base(n).value,), Base(g(as_base(n).value))))
@@ -444,7 +426,7 @@ def bounded_cost(
             )
     sig = system_t_list()
     typecheck(sig, {}, e)
-    active = inst if inst is not None else cost_bounded_inst()
+    active = inst if inst is not None else cost_bounded_inst(fuel)
     den = denote(active, {}, translate(sig, {}, e))
     cost, value = pair_parts(den)
     return CostReport(predicted=cost, semantic=value, mode=BOUND)
@@ -459,7 +441,7 @@ def majorant(
     """A semantic value dominating e's value pointwise."""
     sig = signature_for(e)
     typecheck(sig, {}, e)
-    active = inst if inst is not None else majorizability_inst()
+    active = inst if inst is not None else majorizability_inst(fuel)
     den = denote(active, {}, translate(sig, {}, e))
     _, value = pair_parts(den)
     return value

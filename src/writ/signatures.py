@@ -458,10 +458,17 @@ _BAR_SYMBOLS = frozenset({"ext", "bar", "bar1"})
 
 
 def _mentions_list_type(t: Term) -> bool:
-    if isinstance(t, Lam):
-        return _ty_mentions_list(t.var_ty) or _mentions_list_type(t.body)
-    if isinstance(t, App):
-        return _mentions_list_type(t.fun) or _mentions_list_type(t.arg)
+    # iterative: numeral literals nest as deep as the numbers they encode
+    todo: list[Term] = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, Lam):
+            if _ty_mentions_list(s.var_ty):
+                return True
+            todo.append(s.body)
+        elif isinstance(s, App):
+            todo.append(s.fun)
+            todo.append(s.arg)
     return False
 
 

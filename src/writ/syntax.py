@@ -150,13 +150,19 @@ def free_vars(t: Term) -> frozenset[str]:
 
 def symbols(t: Term) -> frozenset[str]:
     """All constructor and function symbol names occurring in t."""
-    if isinstance(t, (Cons, Func)):
-        return frozenset((t.name,))
-    if isinstance(t, Var):
-        return frozenset()
-    if isinstance(t, Lam):
-        return symbols(t.body)
-    return symbols(t.fun) | symbols(t.arg)
+    # iterative for the same reason as free_vars
+    names: set[str] = set()
+    todo: list[Term] = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, (Cons, Func)):
+            names.add(s.name)
+        elif isinstance(s, Lam):
+            todo.append(s.body)
+        elif isinstance(s, App):
+            todo.append(s.fun)
+            todo.append(s.arg)
+    return frozenset(names)
 
 
 def numeral(n: int) -> Term:

@@ -8,22 +8,16 @@ is not checking anything.
 
 from dataclasses import replace
 
-from writ.engine import (
-    Base,
-    EffectTriple,
-    Instantiation,
-    SFun,
-    as_base,
-    as_fun,
-    pair_parts,
-    spair,
-)
+from writ.engine import COST, Base, EffectTriple, Instantiation, SFun, as_base, spair
 from writ.instantiations import (
+    _join_max,
+    _rec_indices,
+    _size_indices,
     continuity_inst,
     cost_bounded_inst,
     cost_exact_inst,
     majorizability_inst,
-    semantic_join,
+    recursor,
 )
 from writ.signatures import OracleSpec
 
@@ -31,18 +25,7 @@ from writ.signatures import OracleSpec
 def overcharging_exact_inst() -> Instantiation:
     """Exact-cost analysis that bills two steps per recursion unfold."""
     inst = cost_exact_inst()
-
-    def run(acc, step, n):
-        if n == 0:
-            return spair(2, acc)
-        c_prev, prev = pair_parts(run(acc, step, n - 1))
-        c_step, applied = pair_parts(as_fun(step).fn(Base(n - 1)))
-        c_call, out = pair_parts(as_fun(applied).fn(prev))
-        return spair(2 + c_step + c_prev + c_call, out)
-
-    broken = SFun(
-        lambda a: SFun(lambda f: SFun(lambda n: run(a, f, as_base(n).value)))
-    )
+    broken = recursor(replace(COST, inc=lambda c: c + 2), _rec_indices)
     return replace(inst, func_families={**inst.func_families, "rec": broken})
 
 
@@ -56,19 +39,7 @@ def forgetful_continuity_inst(g: OracleSpec) -> Instantiation:
 def undercounting_bounded_inst() -> Instantiation:
     """Bounded-cost analysis that drops the base step of every fold round."""
     inst = cost_bounded_inst()
-
-    def run(acc, step, m):
-        if m == 0:
-            return spair(0, acc)
-        c_prev, prev = pair_parts(run(acc, step, m - 1))
-        c_step, applied = pair_parts(as_fun(step).fn(Base(1)))
-        c_call, out = pair_parts(as_fun(applied).fn(prev))
-        joined = semantic_join(acc, out, max)
-        return spair(c_step + c_prev + c_call, joined)
-
-    broken = SFun(
-        lambda a: SFun(lambda f: SFun(lambda m: run(a, f, as_base(m).value)))
-    )
+    broken = recursor(replace(COST, inc=lambda c: c), _size_indices, join=_join_max)
     return replace(inst, func_families={**inst.func_families, "fold": broken})
 
 

@@ -230,9 +230,22 @@ def test_eval_handles_results_deeper_than_the_recursion_limit(wt, capsys):
 
 
 def test_pathological_nesting_fails_cleanly(wt, capsys):
-    code, _, err = run(capsys, "check", wt("deep.wt", "succ 50000"))
+    k = 50_000
+    nest = "fn x:Nat => " + "succ (" * k + "x" + ")" * k
+    code, _, err = run(capsys, "check", wt("deep.wt", nest))
     assert code == 2
     assert "deeply nested" in err
+
+
+def test_a_deep_numeral_checks_without_recursion(wt, capsys):
+    assert run(capsys, "check", wt("deep.wt", "succ 50000")) == (0, '{"type":"Nat"}\n', "")
+
+
+def test_fuel_bounds_the_analyses_recursors(wt, capsys):
+    path = wt("deep.wt", "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3000")
+    code, out, err = run(capsys, "majorize", path, "--fuel", "100")
+    assert (code, out) == (3, "")
+    assert "fuel exhausted" in err
 
 
 @pytest.fixture
@@ -264,11 +277,17 @@ def test_commands_that_fit_run_on_the_calling_thread(wt, capsys, threads):
 
 
 def test_a_term_too_deep_for_the_calling_thread_runs_again_on_the_worker(wt, capsys, threads):
-    # symbols recurses once per successor, past CPython's default limit
-    deep = wt("deep.wt", "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3000")
+    term = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3000"
+    # eval and check walk the numeral without recursion
+    deep = wt("deep.wt", term)
     assert run(capsys, "eval", deep) == (0, '{"value":"3000","steps":9001}\n', "")
     assert run(capsys, "check", deep) == (0, '{"type":"Nat"}\n', "")
-    assert threads == ["writ-run", "writ-run"]
+    assert threads == []
+    # translate recurses once per successor, past CPython's default limit
+    code, out, err = run(capsys, "verify", wt("ann.wt", f"-- analyses: cost\n{term}"))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["reports"][0]["evidence"] == {"predicted": 9001, "observed": 9001}
+    assert threads == ["writ-run"]
 
 
 def test_a_caller_already_past_the_default_limit_gets_the_worker(wt, capsys, threads):
@@ -282,5 +301,14 @@ def test_a_caller_already_past_the_default_limit_gets_the_worker(wt, capsys, thr
 
 
 def test_unfolding_analyses_start_on_the_worker(wt, capsys, threads):
-    assert run(capsys, "cost", wt("rec3.wt", REC3))[0] == 0
+    import sys
+
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(12_345)
+    try:
+        assert run(capsys, "cost", wt("rec3.wt", REC3))[0] == 0
+        # the worker's limit does not outlive it
+        assert sys.getrecursionlimit() == 12_345
+    finally:
+        sys.setrecursionlimit(old)
     assert threads == ["writ-run"]

@@ -1,8 +1,13 @@
-"""The environment machine against the substitution evaluator it replaced.
+"""The environment machine against the substitution evaluator it replaced,
+and the analyses against the machine.
 
-Both must agree on the rendered value, the step count and the oracle
-queries, and must run out of fuel at the same step. Values are compared
-rendered: dataclass equality recurses and overflows on deep numerals.
+Both evaluators must agree on the rendered value, the step count and the
+oracle queries, and must run out of fuel at the same step. Values are
+compared rendered: dataclass equality recurses and overflows on deep
+numerals. On generated terms the machine finishes, the analyses must agree
+with it: predicted steps and values are exact, and so are pure values;
+bounds and majorants dominate; and the modulus's support is the oracle
+queries in order.
 """
 
 from __future__ import annotations
@@ -21,6 +26,8 @@ from writ import (
     NAT,
     App,
     Arrow,
+    Base,
+    BaseList,
     Cons,
     ConsDecl,
     Constant,
@@ -36,10 +43,19 @@ from writ import (
     Rule,
     Signature,
     Table,
+    UnsupportedSymbol,
     Var,
+    as_base,
+    bounded_cost,
     evaluate,
+    exact_cost,
+    list_value,
+    majorant,
+    modulus,
     numeral,
+    numeral_value,
     parse_term,
+    pure_denote,
     render_term,
     signature_for,
     system_t,
@@ -223,3 +239,67 @@ def test_generated_functionals_agree_under_oracles(term, g):
     sig = with_oracle(_generated_signature(lists=False), g)
     assert typecheck(sig, {}, term) == FUNCTIONAL
     assert_agree(sig, App(term, Func("alpha")), _GEN_FUEL)
+
+
+# ---------------------------------------------------------------- analyses
+
+def _finished(sig, term):
+    """The machine's result within _GEN_FUEL, or None when it runs out or
+    a builtin outgrows _CAP."""
+    try:
+        return evaluate(sig, term, _GEN_FUEL)
+    except (FuelExhausted, _TooBig):
+        return None
+
+
+def assert_costs_agree(sig, term, ty, res):
+    """Exact cost is the machine's step count and value, and so is the pure
+    value; a bound, where the analysis accepts the term, is at least the
+    step count."""
+    exact = exact_cost(term, sig)
+    assert exact.predicted == res.steps, render_term(term)
+    if ty in (NAT, LIST):
+        value = Base(numeral_value(res.value)) if ty == NAT else BaseList(list_value(res.value))
+        assert exact.semantic == value == pure_denote({}, term), render_term(term)
+    try:
+        bound = bounded_cost(term)
+    except UnsupportedSymbol:
+        return
+    assert bound.predicted >= res.steps, render_term(term)
+
+
+@_GEN
+@given(st.sampled_from([NAT, LIST, N2N, NAT2]).flatmap(
+    lambda ty: st.tuples(st.just(ty), closed_terms(ty, lists=True))))
+def test_generated_list_terms_analyses_agree(typed):
+    ty, term = typed
+    sig = _generated_signature(lists=True)
+    res = _finished(sig, term)
+    if res is not None:
+        assert_costs_agree(sig, term, ty, res)
+
+
+@_GEN
+@given(st.sampled_from([NAT, N2N]).flatmap(
+    lambda ty: st.tuples(st.just(ty), closed_terms(ty, lists=False))))
+def test_generated_t_terms_analyses_agree(typed):
+    ty, term = typed
+    sig = _generated_signature(lists=False)
+    res = _finished(sig, term)
+    if res is None:
+        return
+    assert_costs_agree(sig, term, ty, res)
+    if ty == NAT:
+        assert as_base(majorant(term)).value >= numeral_value(res.value), render_term(term)
+
+
+@_GEN
+@given(closed_terms(FUNCTIONAL, lists=False), st.sampled_from(ORACLES))
+def test_generated_functionals_query_their_modulus_support_in_order(term, g):
+    res = _finished(with_oracle(_generated_signature(lists=False), g), App(term, Func("alpha")))
+    if res is None:
+        return
+    rep = modulus(term, g)
+    # stronger than queries within the support: the same queries in order
+    assert res.queries == rep.support, render_term(term)
+    assert rep.predicted_value == numeral_value(res.value), render_term(term)

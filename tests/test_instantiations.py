@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from writ import (
     BOUND,
+    COST,
     EXACT,
     Base,
     Constant,
@@ -34,6 +35,7 @@ from writ import (
     pair_parts,
     parse_term,
     pure_denote,
+    recursor,
     semantic_join,
     signature_for,
     spair,
@@ -369,3 +371,89 @@ def test_spector_closed_form_degenerate_budget():
     beta = SFun(lambda n: spair(1, Base(0)))
     with pytest.raises(FuelExhausted):
         spector_closed_form(omega, beta, Fuel(30))
+
+
+# ---------------------------------------------------------------- the recursor
+
+# shallow terms whose recursors unfold thousands of times
+MANY_UNFOLDS_REC = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) (mul 60 60)"
+MANY_UNFOLDS_FOLD = (
+    "fold[Nat] 0 (fn n:Nat => fn p:Nat => add n p) (fold[List] [1] "
+    "(fn n:Nat => fn p:List => fold[List] p (fn m:Nat => fn q:List => cons q m) p) "
+    "[0,0,0,0,0,0,0,0,0,0,0,0])"
+)
+
+
+def test_recursors_unfold_without_host_recursion():
+    import sys
+
+    rec, fold = parse_term(MANY_UNFOLDS_REC), parse_term(MANY_UNFOLDS_FOLD)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    hit_limit = False
+    try:
+        predicted = [exact_cost(rec).predicted, exact_cost(fold).predicted,
+                     bounded_cost(fold).predicted]
+    except RecursionError:
+        # flagged, not raised: see the evaluator's deep-run test
+        hit_limit = True
+    finally:
+        sys.setrecursionlimit(old)
+    assert not hit_limit, "an analysis hit the host recursion limit"
+    steps = [evaluate(signature_for(t), t).steps for t in (rec, fold, fold)]
+    assert predicted == steps == [10_802, 28_719, 28_719]
+
+
+UNFOLD5 = [
+    ("exact rec", lambda fuel: exact_cost(parse_term(
+        "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 5"), fuel=fuel)),
+    ("exact fold", lambda fuel: exact_cost(parse_term(
+        "fold[Nat] 0 (fn n:Nat => fn p:Nat => add n p) [1,2,3,4,5]"), fuel=fuel)),
+    ("bounded fold", lambda fuel: bounded_cost(parse_term(
+        "fold[Nat] 0 (fn n:Nat => fn p:Nat => add n p) [1,2,3,4,5]"), fuel)),
+    ("majorant rec", lambda fuel: majorant(parse_term(
+        "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 5"), fuel)),
+    ("modulus rec", lambda fuel: modulus(parse_term(
+        "fn f:Nat->Nat => rec[Nat] 0 (fn n:Nat => fn p:Nat => succ (f p)) 5"),
+        Identity(), fuel)),
+]
+
+
+@pytest.mark.parametrize("analysis", [a for _, a in UNFOLD5], ids=[i for i, _ in UNFOLD5])
+def test_fuel_bounds_the_stages_of_one_call(analysis):
+    # five stages fit in five steps of fuel, but not in four
+    analysis(Fuel(5))
+    with pytest.raises(FuelExhausted):
+        analysis(Fuel(4))
+
+
+def test_a_stage_charges_the_step_before_the_stages_below_it():
+    # the step queries its index before it takes the value so far, as the
+    # evaluator does when it unfolds rec a f (succ n) to f n (rec a f n)
+    t = parse_term(
+        "fn f:Nat->Nat => rec[Nat] 0 (fn n:Nat => (fn q:Nat => fn p:Nat => succ p) (f n)) 3")
+    assert modulus(t, Identity()).support == (2, 1, 0)
+
+
+def test_the_two_join_rules_differ_on_a_step_that_does_not_distribute():
+    # the step sends small values to 9 and large ones to 0: 1, 9, 0, 9, ...
+    flip = SFun(lambda i: spair(0, SFun(
+        lambda p: spair(0, Base(0 if as_base(p).value >= 5 else 9)))))
+
+    def run(n, **rule):
+        family = recursor(COST, lambda m: range(as_base(m).value),
+                          join=lambda x, y: semantic_join(x, y, max), **rule)
+        applied = as_fun(as_fun(as_fun(family).fn(Base(1))).fn(flip)).fn(Base(n))
+        return pair_parts(applied)
+
+    # each stage reads the base joined with the stage before: 1, 9, join(1, 0)
+    assert run(2) == (3, Base(1))
+    # each stage reads the stage before as it is; the result joins 1, 9, 0
+    assert run(2, envelope=True) == (3, Base(9))
+
+
+def test_majorant_envelope_threads_the_unjoined_stages():
+    # the stages are 1, 0, 0, 0; threading their running join instead would
+    # reach 2 * 1 at the last stage
+    t = parse_term("rec[Nat] 1 (fn n:Nat => fn p:Nat => mul n p) 3")
+    assert majorant(t) == Base(1)
