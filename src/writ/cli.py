@@ -12,7 +12,6 @@ import argparse
 import json
 import signal
 import sys
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -43,14 +42,6 @@ __all__ = ["CliConfig", "main", "main_entry"]
 _SIGS = {"t": system_t, "list": system_t_list, "bar": bar_rec}
 
 _COMMANDS = ("check", "eval", "translate", "modulus", "cost", "bound", "majorize", "verify")
-
-# CPython's default recursion limit
-_IN_PLACE_LIMIT = 1000
-# commands whose work recurses on the host stack well into the run (the
-# bar/bar1 denotations once per search round, translate and denote once per
-# constructor of a literal): on a term that needs the worker, an attempt in
-# place fails late, so they start on the worker
-_UNFOLDING = frozenset({"cost", "bound", "majorize", "modulus"})
 
 
 @dataclass(frozen=True)
@@ -257,64 +248,6 @@ def _run_verify(config: CliConfig) -> int:
     return 1 if failures else 0
 
 
-def _run_roomy(config: CliConfig) -> int:
-    """Run one command, on a worker thread with a stack sized for deep terms
-    when the calling thread's own stack may not do.
-
-    The analyses recurse over term structure, so deep terms need a generous
-    recursion limit; the calling thread's C stack is fixed when it starts
-    and can overflow (and kill the process) before the interpreter's limit
-    fires. A worker thread can ask for the stack its limit actually needs,
-    but starting one costs more than evaluating a typical term, and that
-    cost varies with the host far more than the command's own work does.
-    So a command outside _UNFOLDING first runs in place under CPython's
-    default limit, which default stacks are sized for, and runs again on
-    the worker only if its term needs more. Nothing is printed before a
-    command finishes, so the first attempt leaves no trace."""
-    if config.command not in _UNFOLDING:
-        old_limit = sys.getrecursionlimit()
-        try:
-            sys.setrecursionlimit(min(old_limit, _IN_PLACE_LIMIT))
-        except RecursionError:
-            pass  # the caller is already deeper than that
-        else:
-            try:
-                return _run(config)
-            except RecursionError:
-                pass
-            finally:
-                sys.setrecursionlimit(old_limit)
-
-    box: list[tuple[str, object]] = []
-
-    def work() -> None:
-        # the limit is interpreter-wide: give the caller's back afterwards
-        old_limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(40_000)
-        try:
-            box.append(("ok", _run(config)))
-        except BaseException as err:
-            box.append(("err", err))
-        finally:
-            sys.setrecursionlimit(old_limit)
-
-    old = threading.stack_size()
-    try:
-        threading.stack_size(256 * 1024 * 1024)
-    except (ValueError, RuntimeError):
-        pass
-    try:
-        worker = threading.Thread(target=work, name="writ-run", daemon=True)
-        worker.start()
-        worker.join()
-    finally:
-        threading.stack_size(old)
-    kind, payload = box[0]
-    if kind == "err":
-        raise payload  # type: ignore[misc]
-    return payload  # type: ignore[return-value]
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -338,7 +271,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"writ: {err}", file=sys.stderr)
         return 2
     try:
-        return _run_roomy(config)
+        return _run(config)
     except FuelExhausted as err:
         print(f"writ: {err}", file=sys.stderr)
         return 3

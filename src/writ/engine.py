@@ -4,7 +4,9 @@ The metalanguage is interpreted over SemVal: naturals, finite numeral
 sequences, pairs, host functions, and effect annotations drawn from one
 EffectTriple (an empty effect, a one-step extension, and a three-way
 combination). Swapping the triple and the symbol interpretations changes
-the analysis without touching the interpreter.
+the analysis without touching the interpreter. denote runs the top level
+and each lambda body as a loop over its nodes, so literals of any size need
+no host recursion.
 
 pure_denote is the effect-free reference semantics used as an independent
 value oracle.
@@ -179,61 +181,101 @@ class Instantiation:
 
 # ---------------------------------------------------------------- interpreter
 
+_RIGHT, _LEFT, _PAIR, _APP, _COM, _INC, _IOTA, _VAR, _LAM, _CONS, _FUNC = range(11)
+
+# each node kind's opcode; the kinds before _IOTA have only child fields, the
+# others none (a lambda's body is a scope of its own)
+_OPS: dict[type, int] = {
+    M.ProjR: _RIGHT, M.ProjL: _LEFT, M.MPair: _PAIR, M.MApp: _APP, M.Com: _COM, M.Inc: _INC,
+    M.Iota: _IOTA, M.MVar: _VAR, M.MLam: _LAM, M.BCons: _CONS, M.BFunc: _FUNC,
+}
+
+
+def _flatten(root: M.MetaTerm) -> list[tuple]:
+    """One scope as a children-first list, a shared node once, in the order a
+    left-to-right walk that remembers shared nodes would finish them.
+
+    Each entry is an opcode and three operands: the positions of the node's
+    children in the list, or the node itself when it has none.
+    """
+    code: list[tuple] = []
+    at: dict[int, int] = {}
+    todo: list = [root]  # nodes to visit, and (op, node, children) to finish
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:
+            op, node, kids = node
+            at[id(node)] = len(code)
+            code.append((op, *[at[id(kid)] for kid in kids], None, None)[:4])
+        elif id(node) not in at:
+            op = _OPS.get(type(node))
+            if op is None:
+                raise MetaTypeMismatch(f"unknown metalanguage node {node!r}")
+            if op < _IOTA:
+                kids = tuple(vars(node).values())
+                todo.append((op, node, kids))
+                todo += reversed(kids)
+            else:
+                at[id(node)] = len(code)
+                code.append((op, node, None, None))
+    return code
+
+
 def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     """Interpret a metalanguage term under an instantiation.
 
-    The translation emits shared subterms; they are evaluated once per
-    environment (sound because SemVal functions are pure), which keeps the
-    walk linear in the size of the DAG.
+    The top level and each lambda body are scopes, each flattened once per
+    call into a list in which a shared node appears once (sound because
+    SemVal functions are pure). A run of a scope is a plain loop, linear in
+    its DAG, whose values live only as long as the run; the host recurses
+    only where one lambda's run calls another, never per literal constructor.
     """
-    memo: dict[tuple[int, int], tuple[object, object, SemVal]] = {}
     eff = inst.effect
+    iota = Eff(eff.eps)
+    codes: dict[int, list[tuple]] = {}
 
-    def go(node: M.MetaTerm, scope: SemEnv) -> SemVal:
-        key = (id(node), id(scope))
-        hit = memo.get(key)
-        if hit is not None and hit[0] is node and hit[1] is scope:
-            return hit[2]
-        val = step(node, scope)
-        memo[key] = (node, scope, val)
-        return val
+    def closure(lam: M.MLam, scope: SemEnv) -> SFun:
+        body, var = lam.body, lam.var
+        code = codes.get(id(body))
+        if code is None:
+            code = codes[id(body)] = _flatten(body)
+        return SFun(lambda a: run(code, {**scope, var: a}))
 
-    def step(node: M.MetaTerm, scope: SemEnv) -> SemVal:
-        if isinstance(node, M.Iota):
-            return Eff(eff.eps)
-        if isinstance(node, M.Inc):
-            return Eff(eff.inc(as_eff(go(node.body, scope)).amount))
-        if isinstance(node, M.Com):
-            a = as_eff(go(node.first, scope)).amount
-            b = as_eff(go(node.second, scope)).amount
-            c = as_eff(go(node.third, scope)).amount
-            return Eff(eff.com(a, b, c))
-        if isinstance(node, M.MVar):
-            try:
-                return scope[node.name]
-            except KeyError:
-                raise MetaTypeMismatch(
-                    f"unbound meta variable {node.name!r} at interpretation time"
-                ) from None
-        if isinstance(node, M.BCons):
-            return inst.cons(node.symbol)
-        if isinstance(node, M.BFunc):
-            return inst.func(node.symbol)
-        if isinstance(node, M.MLam):
-            body, var = node.body, node.var
-            return SFun(lambda a: go(body, {**scope, var: a}))
-        if isinstance(node, M.MApp):
-            fn = as_fun(go(node.fun, scope))
-            return fn.fn(go(node.arg, scope))
-        if isinstance(node, M.MPair):
-            return SPair(go(node.left, scope), go(node.right, scope))
-        if isinstance(node, M.ProjL):
-            return as_pair(go(node.pair, scope)).fst
-        if isinstance(node, M.ProjR):
-            return as_pair(go(node.pair, scope)).snd
-        raise MetaTypeMismatch(f"unknown metalanguage node {node!r}")
+    def run(code: list[tuple], scope: SemEnv) -> SemVal:
+        vals: list[SemVal] = []
+        push = vals.append
+        for op, x, y, z in code:
+            if op == _RIGHT:
+                push(as_pair(vals[x]).snd)
+            elif op == _LEFT:
+                push(as_pair(vals[x]).fst)
+            elif op == _PAIR:
+                push(SPair(vals[x], vals[y]))
+            elif op == _IOTA:
+                push(iota)
+            elif op == _APP:
+                push(as_fun(vals[x]).fn(vals[y]))
+            elif op == _COM:
+                push(Eff(eff.com(as_eff(vals[x]).amount, as_eff(vals[y]).amount,
+                                 as_eff(vals[z]).amount)))
+            elif op == _VAR:
+                try:
+                    push(scope[x.name])
+                except KeyError:
+                    raise MetaTypeMismatch(
+                        f"unbound meta variable {x.name!r} at interpretation time"
+                    ) from None
+            elif op == _LAM:
+                push(closure(x, scope))
+            elif op == _INC:
+                push(Eff(eff.inc(as_eff(vals[x]).amount)))
+            elif op == _CONS:
+                push(inst.cons(x.symbol))
+            else:
+                push(inst.func(x.symbol))
+        return vals[-1]
 
-    return go(mt, dict(env))
+    return run(_flatten(mt), dict(env))
 
 
 def compose(inst: Instantiation, f: SemVal, a: SemVal) -> SemVal:
@@ -250,8 +292,9 @@ def compose(inst: Instantiation, f: SemVal, a: SemVal) -> SemVal:
 
 # ---------------------------------------------------------------- plain semantics
 
-# depth guard for the host-level search recursion; generous for desk-scale
-# searches, small enough to fail cleanly before the host stack does
+# depth guard for the host-level search recursion, generous for desk-scale
+# searches; each round takes several host frames, so under CPython's default
+# recursion limit RecursionError fires long before this does
 _SEARCH_DEPTH = 2000
 
 

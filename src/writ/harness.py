@@ -475,21 +475,25 @@ def verify_file(
     trials: int = 100,
     seed: int = 0,
 ) -> list[VerifyReport]:
-    """Run every annotated analysis of one .wt file."""
+    """Run every annotated analysis of one .wt file; a term nested past the
+    host's recursion limit gives one failure report for the file."""
     path = Path(path)
     term_id = path.name
     text = path.read_text(encoding="utf-8")
     specs = _annotations(text)
     try:
-        term = parse_term(text)
-    except ParseError as err:
-        return [_fail(term_id, "parse", str(err))]
-    try:
-        typecheck(signature_for(term), {}, term)
-    except WritError as err:
-        # one report for the file; the analyses are not attempted
-        return [_fail(term_id, "check", _err(err))]
-    return [_dispatch(s, term, term_id, fuel, trials, seed) for s in specs]
+        try:
+            term = parse_term(text)
+        except ParseError as err:
+            return [_fail(term_id, "parse", str(err))]
+        try:
+            typecheck(signature_for(term), {}, term)
+        except WritError as err:
+            # one report for the file; the analyses are not attempted
+            return [_fail(term_id, "check", _err(err))]
+        return [_dispatch(s, term, term_id, fuel, trials, seed) for s in specs]
+    except RecursionError:
+        return [_fail(term_id, "depth", "term too deeply nested")]
 
 
 def run_corpus(
@@ -500,9 +504,9 @@ def run_corpus(
 ) -> list[VerifyReport]:
     """Verify a directory of annotated .wt files, one report per analysis.
 
-    Files are processed in name order; a file that fails to parse or check
-    contributes a single failure report and the rest still run. Results are
-    deterministic for a fixed seed.
+    Files are processed in name order; a file that fails to parse or check,
+    or nests too deeply, contributes a single failure report and the rest
+    still run. Results are deterministic for a fixed seed.
     """
     reports: list[VerifyReport] = []
     for file in sorted(Path(path).glob("*.wt")):

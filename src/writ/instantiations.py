@@ -396,7 +396,6 @@ def exact_cost(
     """Predicted step count and semantic value of a closed term."""
     if sig is None:
         sig = signature_for(e)
-    typecheck(sig, {}, e)
     active = inst if inst is not None else cost_exact_inst(fuel)
     den = denote(active, {}, translate(sig, {}, e))
     cost, value = pair_parts(den)
@@ -425,7 +424,6 @@ def bounded_cost(
                 name, "sizes are uniform on numerals, so numeral recursion depth is invisible"
             )
     sig = system_t_list()
-    typecheck(sig, {}, e)
     active = inst if inst is not None else cost_bounded_inst(fuel)
     den = denote(active, {}, translate(sig, {}, e))
     cost, value = pair_parts(den)
@@ -440,7 +438,6 @@ def majorant(
 ) -> SemVal:
     """A semantic value dominating e's value pointwise."""
     sig = signature_for(e)
-    typecheck(sig, {}, e)
     active = inst if inst is not None else majorizability_inst(fuel)
     den = denote(active, {}, translate(sig, {}, e))
     _, value = pair_parts(den)

@@ -193,18 +193,36 @@ def translate(sig: Signature, ctx: TyContext, t: Term) -> MetaTerm:
 
 
 def _translate(sig: Signature, t: Term) -> MetaTerm:
+    # children first, on an explicit stack: literals nest as deep as the
+    # numbers they encode
+    todo: list[tuple[Term, bool]] = [(t, False)]
+    done: list[MetaTerm] = []
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, Lam):
+            if not ready:
+                todo += ((node, True), (node.body, False))
+                continue
+            body = done.pop()
+            # crossing a lambda charges the pending beta step to the call site
+            charged = MPair(Inc(ProjL(body)), ProjR(body))
+            done.append(MPair(IOTA, MLam(node.var, lift(node.var_ty), charged)))
+        elif isinstance(node, App):
+            if not ready:
+                todo += ((node, True), (node.arg, False), (node.fun, False))
+                continue
+            arg = done.pop()
+            fun = done.pop()
+            call = MApp(ProjR(fun), ProjR(arg))  # shared: referenced twice below
+            done.append(MPair(Com(ProjL(fun), ProjL(arg), ProjL(call)), ProjR(call)))
+        else:
+            done.append(_translate_leaf(sig, node))
+    return done[0]
+
+
+def _translate_leaf(sig: Signature, t: Term) -> MetaTerm:
     if isinstance(t, Var):
         return MPair(IOTA, MVar(t.name))
-    if isinstance(t, Lam):
-        body = _translate(sig, t.body)
-        # crossing a lambda charges the pending beta step to the call site
-        charged = MPair(Inc(ProjL(body)), ProjR(body))
-        return MPair(IOTA, MLam(t.var, lift(t.var_ty), charged))
-    if isinstance(t, App):
-        fun = _translate(sig, t.fun)
-        arg = _translate(sig, t.arg)
-        call = MApp(ProjR(fun), ProjR(arg))  # shared: referenced twice below
-        return MPair(Com(ProjL(fun), ProjL(arg), ProjL(call)), ProjR(call))
     if isinstance(t, Cons):
         decl = sig.cons_decl(t.name)
         binders = [(f"x{i + 1}",MData(d)) for i, d in enumerate(decl.args)]

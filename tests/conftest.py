@@ -1,5 +1,6 @@
 import sys
 
-# the engine, typechecker and renderer walk deep terms recursively, and so
-# does the substitution evaluator the machine is tested against
+# the typechecker and the renderers recurse on terms nested other than as
+# literals, and the substitution evaluator the machine is tested against
+# recurses on every term
 sys.setrecursionlimit(20_000)

@@ -1,6 +1,9 @@
 """The writ command line: output bytes, exit codes, flag handling."""
 
+import contextlib
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -265,50 +268,67 @@ def threads(monkeypatch):
     return started
 
 
-def test_commands_that_fit_run_on_the_calling_thread(wt, capsys, threads):
-    import sys
+@contextlib.contextmanager
+def recursion_limit(limit):
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
-    limit = sys.getrecursionlimit()
-    assert run(capsys, "eval", wt("rec3.wt", REC3)) == (0, '{"value":"3","steps":10}\n', "")
-    assert run(capsys, "check", wt("ff2.wt", FF2))[0] == 0
-    assert run(capsys, "verify", wt("ann.wt", f"-- analyses: cost,majorant\n{REC3}"))[0] == 0
-    assert threads == []
-    assert sys.getrecursionlimit() == limit
 
-
-def test_a_term_too_deep_for_the_calling_thread_runs_again_on_the_worker(wt, capsys, threads):
-    term = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3000"
-    # eval and check walk the numeral without recursion
-    deep = wt("deep.wt", term)
-    assert run(capsys, "eval", deep) == (0, '{"value":"3000","steps":9001}\n', "")
-    assert run(capsys, "check", deep) == (0, '{"type":"Nat"}\n', "")
-    assert threads == []
-    # translate recurses once per successor, past CPython's default limit
-    code, out, err = run(capsys, "verify", wt("ann.wt", f"-- analyses: cost\n{term}"))
+def test_every_command_runs_on_the_calling_thread(wt, capsys, threads):
+    rec3 = wt("rec3.wt", REC3)
+    oracle3 = wt("oracle3.wt", f"fn f:Nat->Nat => {REC3.replace('succ p', 'succ (f p)')}")
+    ann = wt("ann.wt", f"-- analyses: cost,majorant\n{REC3}")
+    deep = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3000"
+    with recursion_limit(12_345):
+        codes = [run(capsys, command, rec3)[0]
+                 for command in ("check", "eval", "translate", "cost", "majorize")]
+        codes.append(run(capsys, "bound", wt("fold2.wt", FOLD2))[0])
+        codes.append(run(capsys, "modulus", oracle3, "--oracle", "identity")[0])
+        codes.append(run(capsys, "verify", ann)[0])
+        assert run(capsys, "cost", wt("deep.wt", deep)) == (
+            0, '{"predicted":9001,"semantic":3000,"mode":"exact"}\n', "")
+        code, out, err = run(capsys, "verify", wt("deep_ann.wt", f"-- analyses: cost\n{deep}"))
+        assert sys.getrecursionlimit() == 12_345
+    assert codes == [0] * 8
     assert (code, err) == (0, "")
     assert json.loads(out)["reports"][0]["evidence"] == {"predicted": 9001, "observed": 9001}
-    assert threads == ["writ-run"]
+    assert threads == []
 
 
-def test_a_caller_already_past_the_default_limit_gets_the_worker(wt, capsys, threads):
+def test_a_caller_past_the_default_limit_runs_in_place(wt, capsys, threads):
     path = wt("rec3.wt", REC3)
 
     def nest(k):
         return nest(k - 1) if k else run(capsys, "eval", path)
 
     assert nest(1100) == (0, '{"value":"3","steps":10}\n', "")
-    assert threads == ["writ-run"]
+    assert threads == []
 
 
-def test_unfolding_analyses_start_on_the_worker(wt, capsys, threads):
-    import sys
+def test_a_deep_non_literal_nest_exits_two(wt, capsys):
+    k = 2_000
+    path = wt("deep.wt", "fn x:Nat => " + "succ (" * k + "x" + ")" * k)
+    with recursion_limit(1000):  # CPython's default
+        code, out, err = run(capsys, "check", path)
+    assert (code, out) == (2, "")
+    assert "deeply nested" in err
 
-    old = sys.getrecursionlimit()
-    sys.setrecursionlimit(12_345)
-    try:
-        assert run(capsys, "cost", wt("rec3.wt", REC3))[0] == 0
-        # the worker's limit does not outlive it
-        assert sys.getrecursionlimit() == 12_345
-    finally:
-        sys.setrecursionlimit(old)
-    assert threads == ["writ-run"]
+
+def test_verify_corpus_reports_a_deep_file_as_one_failure(wt, capsys, tmp_path):
+    shipped = Path(__file__).resolve().parent.parent / "corpus" / "nat_rec_count.wt"
+    wt(shipped.name, shipped.read_text(encoding="utf-8").rstrip("\n"))
+    k = 1_000
+    wt("nest.wt", "-- analyses: cost\nfn x:Nat => " + "succ (" * k + "x" + ")" * k)
+    with recursion_limit(1000):  # CPython's default
+        code, out, _ = run(capsys, "verify", "--corpus", str(tmp_path))
+    assert code == 1
+    reports = json.loads(out)["reports"]
+    deep = [r for r in reports if r["term_id"] == "nest.wt"]
+    assert [(r["status"], r["details"]) for r in deep] == [("fail", "term too deeply nested")]
+    shipped_reports = [r for r in reports if r["term_id"] == shipped.name]
+    assert [r["analysis"] for r in shipped_reports] == ["cost", "majorant"]
+    assert all(r["status"] == "pass" for r in shipped_reports)

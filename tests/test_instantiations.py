@@ -13,6 +13,7 @@ from writ import (
     Fuel,
     FuelExhausted,
     Identity,
+    ModulusReport,
     SFun,
     ShapeMismatch,
     Table,
@@ -457,3 +458,62 @@ def test_majorant_envelope_threads_the_unjoined_stages():
     # reach 2 * 1 at the last stage
     t = parse_term("rec[Nat] 1 (fn n:Nat => fn p:Nat => mul n p) 3")
     assert majorant(t) == Base(1)
+
+
+# ---------------------------------------------------------------- deep terms
+
+# the benchmark's deep families (bench/families.py): n successors, n
+# additions, n oracle calls, a sum over items, and the bar search stopping
+# after k rounds
+SUCC_REC = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) {}"
+ADD_REC = "rec[Nat] 0 (fn n:Nat => fn p:Nat => add n p) {}"
+ORACLE_REC = "fn f:Nat->Nat => rec[Nat] 0 (fn n:Nat => fn p:Nat => succ (f p)) {}"
+FOLD_SUM = "fold[Nat] 0 (fn n:Nat => fn p:Nat => add n p) [{}]"
+SEARCH = (
+    "(fn w:(Nat->Nat)->Nat => fn y:Nat->Nat => fn z:List => bar w (fn u:List => 0) "
+    "(fn v:List => fn p:Nat->Nat => succ (p (y (len v)))) z) "
+    "(fn f:Nat->Nat => {}) (fn x:Nat => 0) []"
+)
+
+
+def test_analyses_take_deep_literals_at_the_default_recursion_limit():
+    import sys
+
+    n, items = 1100, [i % 10 for i in range(400)]
+    succ, add, oracle = (parse_term(f.format(n)) for f in (SUCC_REC, ADD_REC, ORACLE_REC))
+    fold = parse_term(FOLD_SUM.format(",".join(map(str, items))))
+    search = parse_term(SEARCH.format(120))
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    hit_limit = False
+    try:
+        costs = [exact_cost(t) for t in (succ, add, fold, search)]
+        bound = bounded_cost(fold)
+        majorants = [majorant(succ), majorant(add)]
+        rep = modulus(oracle, Identity())
+    except RecursionError:
+        # flagged, not raised: see the evaluator's deep-run test
+        hit_limit = True
+    finally:
+        sys.setrecursionlimit(old)
+    assert not hit_limit, "an analysis hit the host recursion limit"
+    triangle = n * (n - 1) // 2
+    assert [(c.predicted, as_base(c.semantic).value) for c in costs] == [
+        (3 * n + 1, n), (4 * n + 1, triangle), (4 * 400 + 1, sum(items)),
+        (10 * 120 + 19, 121)]
+    assert (bound.predicted, bound.semantic) == (4 * 400 + 1, Base(1))
+    assert majorants == [Base(n), Base(triangle)]
+    assert rep == ModulusReport(phi=n, support=tuple(range(n)), predicted_value=n)
+
+
+def test_search_cost_keeps_no_values_past_their_round():
+    import tracemalloc
+
+    search = parse_term(SEARCH.format(40))
+    tracemalloc.start()
+    try:
+        assert exact_cost(search).predicted == 10 * 40 + 19
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000
