@@ -278,22 +278,46 @@ def recursion_limit(limit):
         sys.setrecursionlimit(old)
 
 
-def test_every_command_runs_on_the_calling_thread(wt, capsys, threads):
+# These three tests keep the names they had when `cost`, `bound`, `majorize`
+# and `modulus`, and any term too deep for the calling thread, ran on a
+# big-stack worker thread; every command now runs in place and starts none.
+
+
+def test_commands_that_fit_run_on_the_calling_thread(wt, capsys, threads):
+    rec3 = wt("rec3.wt", REC3)
+    ann = wt("ann.wt", f"-- analyses: cost,majorant\n{REC3}")
+    with recursion_limit(12_345):
+        assert run(capsys, "eval", rec3) == (0, '{"value":"3","steps":10}\n', "")
+        codes = [run(capsys, command, rec3)[0] for command in ("check", "translate")]
+        codes.append(run(capsys, "check", wt("ff2.wt", FF2))[0])
+        codes.append(run(capsys, "verify", ann)[0])
+        assert sys.getrecursionlimit() == 12_345
+    assert codes == [0] * 4
+    assert threads == []
+
+
+def test_unfolding_analyses_start_on_the_worker(wt, capsys, threads):
     rec3 = wt("rec3.wt", REC3)
     oracle3 = wt("oracle3.wt", f"fn f:Nat->Nat => {REC3.replace('succ p', 'succ (f p)')}")
-    ann = wt("ann.wt", f"-- analyses: cost,majorant\n{REC3}")
-    deep = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3000"
     with recursion_limit(12_345):
-        codes = [run(capsys, command, rec3)[0]
-                 for command in ("check", "eval", "translate", "cost", "majorize")]
+        codes = [run(capsys, command, rec3)[0] for command in ("cost", "majorize")]
         codes.append(run(capsys, "bound", wt("fold2.wt", FOLD2))[0])
         codes.append(run(capsys, "modulus", oracle3, "--oracle", "identity")[0])
-        codes.append(run(capsys, "verify", ann)[0])
-        assert run(capsys, "cost", wt("deep.wt", deep)) == (
-            0, '{"predicted":9001,"semantic":3000,"mode":"exact"}\n', "")
-        code, out, err = run(capsys, "verify", wt("deep_ann.wt", f"-- analyses: cost\n{deep}"))
         assert sys.getrecursionlimit() == 12_345
-    assert codes == [0] * 8
+    assert codes == [0] * 4
+    assert threads == []
+
+
+def test_a_term_too_deep_for_the_calling_thread_runs_again_on_the_worker(wt, capsys, threads):
+    term = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3000"
+    deep = wt("deep.wt", term)
+    with recursion_limit(12_345):
+        assert run(capsys, "eval", deep) == (0, '{"value":"3000","steps":9001}\n', "")
+        assert run(capsys, "check", deep) == (0, '{"type":"Nat"}\n', "")
+        assert run(capsys, "cost", deep) == (
+            0, '{"predicted":9001,"semantic":3000,"mode":"exact"}\n', "")
+        code, out, err = run(capsys, "verify", wt("ann.wt", f"-- analyses: cost\n{term}"))
+        assert sys.getrecursionlimit() == 12_345
     assert (code, err) == (0, "")
     assert json.loads(out)["reports"][0]["evidence"] == {"predicted": 9001, "observed": 9001}
     assert threads == []
