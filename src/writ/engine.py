@@ -6,7 +6,9 @@ EffectTriple (an empty effect, a one-step extension, and a three-way
 combination). Swapping the triple and the symbol interpretations changes
 the analysis without touching the interpreter. denote runs the top level
 and each lambda body as a loop over its nodes, so literals of any size need
-no host recursion.
+no host recursion, and it runs a closed effect-value pair in a lambda body
+at most once per call, however often the lambda is applied (full laziness:
+such a pair means the same at every application).
 
 pure_denote is the effect-free reference semantics used as an independent
 value oracle.
@@ -181,65 +183,163 @@ class Instantiation:
 
 # ---------------------------------------------------------------- interpreter
 
-_RIGHT, _LEFT, _PAIR, _APP, _COM, _INC, _IOTA, _VAR, _LAM, _CONS, _FUNC = range(11)
+_RIGHT, _LEFT, _PAIR, _APP, _COM, _INC, _IOTA, _VAR, _LAM, _CONS, _FUNC, _ONCE = range(12)
 
-# each node kind's opcode; the kinds before _IOTA have only child fields, the
-# others none (a lambda's body is a scope of its own)
-_OPS: dict[type, int] = {
-    M.ProjR: _RIGHT, M.ProjL: _LEFT, M.MPair: _PAIR, M.MApp: _APP, M.Com: _COM, M.Inc: _INC,
+# the opcodes of the node kinds without child fields (a lambda's body is a
+# scope of its own)
+_LEAVES: dict[type, int] = {
     M.Iota: _IOTA, M.MVar: _VAR, M.MLam: _LAM, M.BCons: _CONS, M.BFunc: _FUNC,
 }
 
+_CLOSED: frozenset[str] = frozenset()
 
-def _flatten(root: M.MetaTerm) -> list[tuple]:
+
+def _free_vars(root: M.MetaTerm, free: dict[int, frozenset[str]]) -> frozenset[str]:
+    """The free meta variables of root; fills free, keyed by node id, for
+    every node under root, lambda bodies included, so that each node of a
+    DAG is visited once however often this is called."""
+    todo: list = [root]  # nodes to visit, and (node, children) to finish
+    pop, push = todo.pop, todo.append
+    while todo:
+        node = pop()
+        t = type(node)
+        if t is tuple:
+            node, kids = node
+            if type(node) is M.MLam:
+                names = free[id(kids[0])] - {node.var}
+            else:
+                names = _CLOSED
+                for kid in kids:
+                    if free[id(kid)]:
+                        names = names | free[id(kid)]
+            free[id(node)] = names
+            continue
+        if id(node) in free:
+            continue
+        if t is M.ProjR or t is M.ProjL:
+            kids = (node.pair,)
+        elif t is M.MPair:
+            kids = (node.left, node.right)
+        elif t is M.MApp:
+            kids = (node.fun, node.arg)
+        elif t is M.Com:
+            kids = (node.first, node.second, node.third)
+        elif t is M.Inc or t is M.MLam:
+            kids = (node.body,)
+        else:
+            free[id(node)] = frozenset((node.name,)) if t is M.MVar else _CLOSED
+            continue
+        push((node, kids))
+        for kid in kids:
+            if id(kid) not in free:
+                push(kid)
+    return free[id(root)]
+
+
+def _flatten(
+    root: M.MetaTerm, free: Optional[dict[int, frozenset[str]]] = None
+) -> list[tuple]:
     """One scope as a children-first list, a shared node once, in the order a
     left-to-right walk that remembers shared nodes would finish them.
 
     Each entry is an opcode and three operands: the positions of the node's
-    children in the list, or the node itself when it has none.
+    children in the list, or the node itself when it has none. Given free
+    (see _free_vars), the scope is a lambda body, and each closed pair in it
+    is one _ONCE entry holding the pair, whose own nodes stay out of the list.
     """
     code: list[tuple] = []
     at: dict[int, int] = {}
-    todo: list = [root]  # nodes to visit, and (op, node, children) to finish
+    # nodes to visit, and (op, node, child, ...) to finish once the children
+    # are placed
+    todo: list = [root]
+    pop, push = todo.pop, todo.append
     while todo:
-        node = todo.pop()
-        if type(node) is tuple:
-            op, node, kids = node
-            at[id(node)] = len(code)
-            code.append((op, *[at[id(kid)] for kid in kids], None, None)[:4])
-        elif id(node) not in at:
-            op = _OPS.get(type(node))
+        node = pop()
+        t = type(node)
+        if t is tuple:
+            at[id(node[1])] = len(code)
+            if len(node) == 3:
+                code.append((node[0], at[id(node[2])], None, None))
+            elif len(node) == 4:
+                code.append((node[0], at[id(node[2])], at[id(node[3])], None))
+            else:
+                code.append((node[0], at[id(node[2])], at[id(node[3])], at[id(node[4])]))
+            continue
+        if id(node) in at:
+            continue
+        if t is M.ProjR or t is M.ProjL:
+            a = node.pair
+            push((_RIGHT if t is M.ProjR else _LEFT, node, a))
+        elif t is M.MPair:
+            if free is not None and not _free_vars(node, free):
+                at[id(node)] = len(code)
+                code.append((_ONCE, node, None, None))
+                continue
+            a, b = node.left, node.right
+            push((_PAIR, node, a, b))
+            if id(b) not in at:
+                push(b)
+        elif t is M.MApp:
+            a, b = node.fun, node.arg
+            push((_APP, node, a, b))
+            if id(b) not in at:
+                push(b)
+        elif t is M.Com:
+            a, b, c = node.first, node.second, node.third
+            push((_COM, node, a, b, c))
+            if id(c) not in at:
+                push(c)
+            if id(b) not in at:
+                push(b)
+        elif t is M.Inc:
+            a = node.body
+            push((_INC, node, a))
+        else:
+            op = _LEAVES.get(t)
             if op is None:
                 raise MetaTypeMismatch(f"unknown metalanguage node {node!r}")
-            if op < _IOTA:
-                kids = tuple(vars(node).values())
-                todo.append((op, node, kids))
-                todo += reversed(kids)
-            else:
-                at[id(node)] = len(code)
-                code.append((op, node, None, None))
+            at[id(node)] = len(code)
+            code.append((op, node, None, None))
+            continue
+        if id(a) not in at:
+            push(a)
     return code
 
 
 def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     """Interpret a metalanguage term under an instantiation.
 
-    The top level and each lambda body are scopes, each flattened once per
-    call into a list in which a shared node appears once (sound because
-    SemVal functions are pure). A run of a scope is a plain loop, linear in
-    its DAG, whose values live only as long as the run; the host recurses
-    only where one lambda's run calls another, never per literal constructor.
+    The top level and each lambda body are scopes, each flattened at most
+    once per call (a body when it first runs) into a list in which a shared
+    node appears once (sound because SemVal functions are pure). A run of a
+    scope is a plain loop, linear in its DAG, whose values live only as long
+    as the run; the host recurses only where one lambda's run calls another,
+    never per literal constructor.
+
+    A closed effect-value pair (one with no free meta variables) in a lambda
+    body runs at most once per call: lazily, where a run of the body first
+    reaches it, and its value is kept until denote returns, however often
+    the lambda is applied. Its effect is a value like any other, so every
+    use still combines it into the effect of the run that uses it. A pair
+    that raises keeps nothing, and raises again at its next use.
     """
     eff = inst.effect
     iota = Eff(eff.eps)
-    codes: dict[int, list[tuple]] = {}
+    # keyed by node id, for this call only
+    codes: dict[int, list[tuple]] = {}  # a lambda body's list
+    free: dict[int, frozenset[str]] = {}  # a node's free meta variables
+    once: dict[int, SemVal] = {}  # a closed pair's value
 
     def closure(lam: M.MLam, scope: SemEnv) -> SFun:
         body, var = lam.body, lam.var
-        code = codes.get(id(body))
-        if code is None:
-            code = codes[id(body)] = _flatten(body)
-        return SFun(lambda a: run(code, {**scope, var: a}))
+
+        def call(a: SemVal) -> SemVal:
+            code = codes.get(id(body))
+            if code is None:
+                code = codes[id(body)] = _flatten(body, free)
+            return run(code, {**scope, var: a})
+
+        return SFun(call)
 
     def run(code: list[tuple], scope: SemEnv) -> SemVal:
         vals: list[SemVal] = []
@@ -265,6 +365,11 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
                     raise MetaTypeMismatch(
                         f"unbound meta variable {x.name!r} at interpretation time"
                     ) from None
+            elif op == _ONCE:
+                v = once.get(id(x))
+                if v is None:
+                    v = once[id(x)] = run(_flatten(x), {})
+                push(v)
             elif op == _LAM:
                 push(closure(x, scope))
             elif op == _INC:

@@ -5,7 +5,8 @@ an effect component and a value component. Arrows lift so that calling a
 lifted function also yields an effect (lift(a->b) = lift(a) -> Gamma x
 lift(b)). The translation is emitted literally, redexes and all; shared
 subterms are built once and referenced twice, so consumers can treat the
-output as a DAG.
+output as a DAG. Each distinct symbol is translated once per call and
+every occurrence of it shares that closed node.
 """
 
 from __future__ import annotations
@@ -193,10 +194,13 @@ def translate(sig: Signature, ctx: TyContext, t: Term) -> MetaTerm:
 
 
 def _translate(sig: Signature, t: Term) -> MetaTerm:
-    # children first, on an explicit stack: literals nest as deep as the
-    # numbers they encode
+    """Children first, on an explicit stack: literals nest as deep as the
+    numbers they encode. A symbol's translation is closed, so each distinct
+    constructor or function symbol is translated once and every occurrence
+    of it is the same node; variables get a node each."""
     todo: list[tuple[Term, bool]] = [(t, False)]
     done: list[MetaTerm] = []
+    leaves: dict[Term, MetaTerm] = {}
     while todo:
         node, ready = todo.pop()
         if isinstance(node, Lam):
@@ -215,6 +219,11 @@ def _translate(sig: Signature, t: Term) -> MetaTerm:
             fun = done.pop()
             call = MApp(ProjR(fun), ProjR(arg))  # shared: referenced twice below
             done.append(MPair(Com(ProjL(fun), ProjL(arg), ProjL(call)), ProjR(call)))
+        elif isinstance(node, (Cons, Func)):
+            leaf = leaves.get(node)
+            if leaf is None:
+                leaf = leaves[node] = _translate_leaf(sig, node)
+            done.append(leaf)
         else:
             done.append(_translate_leaf(sig, node))
     return done[0]

@@ -6,8 +6,9 @@ oracle queries, and must run out of fuel at the same step. Values are
 compared rendered: dataclass equality recurses and overflows on deep
 numerals. On generated terms the machine finishes, the analyses must agree
 with it: predicted steps and values are exact, and so are pure values;
-bounds and majorants dominate; and the modulus's support is the oracle
-queries in order.
+bounds and majorants dominate; the modulus's support is the oracle
+queries in order; and perturbing the oracle outside the support leaves the
+value where it was.
 """
 
 from __future__ import annotations
@@ -61,6 +62,7 @@ from writ import (
     system_t,
     system_t_list,
     typecheck,
+    verify_modulus,
     with_oracle,
 )
 
@@ -303,3 +305,13 @@ def test_generated_functionals_query_their_modulus_support_in_order(term, g):
     # stronger than queries within the support: the same queries in order
     assert res.queries == rep.support, render_term(term)
     assert rep.predicted_value == numeral_value(res.value), render_term(term)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(closed_terms(FUNCTIONAL, lists=False), st.sampled_from(ORACLES), st.integers(0, 99))
+def test_generated_functionals_pass_verify_modulus(term, g, seed):
+    if _finished(with_oracle(_generated_signature(lists=False), g),
+                 App(term, Func("alpha"))) is None:
+        return
+    rep = verify_modulus(term, g, trials=5, seed=seed)
+    assert rep.passed, (render_term(term), rep.details)

@@ -1,5 +1,8 @@
 """Semantic domains, the metalanguage interpreter, and the plain semantics."""
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from writ import (
@@ -10,6 +13,7 @@ from writ import (
     BaseList,
     Constant,
     Eff,
+    Fuel,
     FuelExhausted,
     Identity,
     MissingInterpretation,
@@ -21,8 +25,10 @@ from writ import (
     as_list,
     as_pair,
     compose,
+    continuity_inst,
     cost_exact_inst,
     denote,
+    exact_cost,
     numeral,
     pair_parts,
     parse_term,
@@ -31,7 +37,32 @@ from writ import (
     spair,
     system_t,
     translate,
+    with_oracle,
 )
+
+SEARCH = (
+    "(fn w:(Nat->Nat)->Nat => fn y:Nat->Nat => fn z:List => bar w (fn u:List => 0) "
+    "(fn v:List => fn p:Nat->Nat => succ (p (y (len v)))) z)"
+)
+
+
+class CountingDict(dict):
+    """A symbol table that counts its reads, in total and by symbol."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.reads = 0
+        self.by_symbol = Counter()
+
+    def __getitem__(self, key):
+        self.reads += 1
+        self.by_symbol[key] += 1
+        return super().__getitem__(key)
+
+
+def counting_cost_inst(fuel=Fuel()):
+    base = cost_exact_inst(fuel)
+    return replace(base, cons_interp=CountingDict(base.cons_interp))
 
 
 def test_effect_triples():
@@ -123,7 +154,7 @@ def test_shared_nodes_interpret_once():
     """Interpretation is linear on translation DAGs.
 
     A numeral's translation chains one application per successor; without
-    sharing the walk would double per layer and i.e. never finish at this
+    sharing the walk would double per layer and so never finish at this
     size.
     """
     inst = cost_exact_inst()
@@ -133,25 +164,49 @@ def test_shared_nodes_interpret_once():
 
 
 def test_denote_counts_symbol_lookups_once_per_shared_node():
-    class CountingDict(dict):
-        def __init__(self, *args):
-            super().__init__(*args)
-            self.reads = 0
-
-        def __getitem__(self, key):
-            self.reads += 1
-            return super().__getitem__(key)
-
-    base = cost_exact_inst()
-    counting = CountingDict(base.cons_interp)
-    from dataclasses import replace
-
-    inst = replace(base, cons_interp=counting)
+    inst = counting_cost_inst()
     sig = system_t()
     mt = translate(sig, {}, parse_term("(fn x:Nat => succ x) 0"))
     denote(inst, {}, mt)
     # one zero plus one succ; sharing collapses the duplicate projections
-    assert counting.reads == 2
+    assert inst.cons_interp.reads == 2
+
+
+def test_closed_pair_in_a_lambda_body_runs_once_per_denote():
+    inst = counting_cost_inst()
+    t = parse_term("(fn h:Nat->Nat => add (h 0) (h 1)) (fn x:Nat => 5)")
+    report = exact_cost(t, inst=inst)
+    assert (report.predicted, report.semantic) == (4, Base(10))
+    # the body's 5 reads succ once per successor, however often h is
+    # applied, plus once for the 1; running it per call read it 11 times
+    assert inst.cons_interp.by_symbol["succ"] == 6
+
+
+@pytest.mark.parametrize("k, reads", [(20, 45), (40, 85)])
+def test_search_reads_its_constructors_linearly(k, reads):
+    # the functional's numeral k is a closed pair, run once and not once per
+    # search round; per round, the reads grew with k and were 506 and 1,806
+    inst = counting_cost_inst()
+    t = parse_term(f"{SEARCH} (fn f:Nat->Nat => {k}) (fn x:Nat => 0) []")
+    report = exact_cost(t, inst=inst)
+    assert (report.predicted, report.semantic) == (10 * k + 19, Base(k + 1))
+    assert inst.cons_interp.reads == reads
+
+
+def test_closed_pair_adds_its_queries_at_every_use():
+    sig = with_oracle(system_t(), Identity())
+    t = parse_term("(fn h:Nat->Nat => h (h 0)) (fn x:Nat => alpha 3)")
+    out = denote(continuity_inst(Identity()), {}, translate(sig, {}, t))
+    assert pair_parts(out) == ((3, 3), Base(3))
+
+
+def test_closed_pair_that_runs_out_of_fuel_raises_at_every_use():
+    inst = cost_exact_inst(Fuel(3))
+    t = parse_term("fn x:Nat => rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 5")
+    _, f = pair_parts(denote(inst, {}, translate(system_t(), {}, t)))
+    for arg in (0, 1, 0):
+        with pytest.raises(FuelExhausted):
+            as_fun(f).fn(Base(arg))
 
 
 def test_pure_denote_ground_values():

@@ -36,7 +36,32 @@ from writ import (
     translate,
     typecheck,
 )
+from writ.meta import Iota
 from writ.syntax import LIST, Lam
+
+_TERM_NODES = (Iota, Inc, Com, MVar, BCons, BFunc, MLam, MApp, MPair, ProjL, ProjR)
+
+
+def dag_size(mt):
+    """Distinct metalanguage term nodes reachable from mt."""
+    seen = set()
+    todo = [mt]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo += [v for v in vars(node).values() if isinstance(v, _TERM_NODES)]
+    return len(seen)
+
+
+def _parts(app_node):
+    """The function and argument translations of a translated application."""
+    return app_node.left.first.pair, app_node.left.second.pair
+
+
+def _render_app(f, a):
+    call = f"({f}.r {a}.r)"
+    return f"(com({f}.l, {a}.l, {call}.l), {call}.r)"
 
 
 def test_lift_shapes():
@@ -100,6 +125,33 @@ def test_translate_application_shares_the_call_node():
     # both projections must hit the same object, not merely equal copies
     assert eff.third.pair is val.pair
     assert isinstance(val.pair, MApp)
+
+
+def test_translate_shares_each_symbol():
+    mt = translate(system_t_list(), {}, parse_term("add (succ 0) (succ 0)"))
+    add_a, b = _parts(mt)
+    add, a = _parts(add_a)
+    succ_a, zero_a = _parts(a)
+    succ_b, zero_b = _parts(b)
+    assert succ_a is succ_b
+    assert zero_a is zero_b
+    assert add.right.body.right.body == MApp(MApp(BFunc("add"), MVar("x1")), MVar("x2"))
+    # applications are not symbols: each occurrence keeps its own node
+    assert a is not b and a == b
+
+
+def test_render_meta_prints_shared_symbols_in_full():
+    mt = translate(system_t_list(), {}, parse_term("add (succ 0) (succ 0)"))
+    add = "(iota, fn x1:Nat => (iota, fn x2:Nat => (add' x1) x2))"
+    succ_0 = _render_app("(iota, fn x1:Nat => (iota, succ' x1))", "(iota, zero')")
+    assert render_meta(mt) == _render_app(_render_app(add, succ_0), succ_0)
+
+
+def test_numeral_translation_grows_by_one_application_per_successor():
+    sizes = [dag_size(translate(system_t(), {}, numeral(n))) for n in range(1, 7)]
+    # nine nodes per application; a fresh succ lambda per occurrence would
+    # add six more
+    assert [b - a for a, b in zip(sizes, sizes[1:])] == [9] * 5
 
 
 def test_translate_function_symbol_arity_three():
