@@ -185,10 +185,12 @@ class Instantiation:
 
 _RIGHT, _LEFT, _PAIR, _APP, _COM, _INC, _IOTA, _VAR, _LAM, _CONS, _FUNC, _ONCE = range(12)
 
-# the opcodes of the node kinds without child fields (a lambda's body is a
-# scope of its own)
-_LEAVES: dict[type, int] = {
-    M.Iota: _IOTA, M.MVar: _VAR, M.MLam: _LAM, M.BCons: _CONS, M.BFunc: _FUNC,
+# each node kind's opcode; from _IOTA on, the node is a leaf of its scope (a
+# lambda's body is a scope of its own)
+_OPS: dict[type, int] = {
+    M.ProjR: _RIGHT, M.ProjL: _LEFT, M.MPair: _PAIR, M.MApp: _APP, M.Com: _COM,
+    M.Inc: _INC, M.Iota: _IOTA, M.MVar: _VAR, M.MLam: _LAM, M.BCons: _CONS,
+    M.BFunc: _FUNC,
 }
 
 _CLOSED: frozenset[str] = frozenset()
@@ -202,8 +204,7 @@ def _free_vars(root: M.MetaTerm, free: dict[int, frozenset[str]]) -> frozenset[s
     pop, push = todo.pop, todo.append
     while todo:
         node = pop()
-        t = type(node)
-        if t is tuple:
+        if type(node) is tuple:
             node, kids = node
             if type(node) is M.MLam:
                 names = free[id(kids[0])] - {node.var}
@@ -216,18 +217,9 @@ def _free_vars(root: M.MetaTerm, free: dict[int, frozenset[str]]) -> frozenset[s
             continue
         if id(node) in free:
             continue
-        if t is M.ProjR or t is M.ProjL:
-            kids = (node.pair,)
-        elif t is M.MPair:
-            kids = (node.left, node.right)
-        elif t is M.MApp:
-            kids = (node.fun, node.arg)
-        elif t is M.Com:
-            kids = (node.first, node.second, node.third)
-        elif t is M.Inc or t is M.MLam:
-            kids = (node.body,)
-        else:
-            free[id(node)] = frozenset((node.name,)) if t is M.MVar else _CLOSED
+        kids = M.children(node)
+        if not kids:
+            free[id(node)] = frozenset((node.name,)) if type(node) is M.MVar else _CLOSED
             continue
         push((node, kids))
         for kid in kids:
@@ -249,60 +241,35 @@ def _flatten(
     """
     code: list[tuple] = []
     at: dict[int, int] = {}
-    # nodes to visit, and (op, node, child, ...) to finish once the children
+    # nodes to visit, and (op, node, children) to finish once the children
     # are placed
     todo: list = [root]
-    pop, push = todo.pop, todo.append
+    pop, push, extend = todo.pop, todo.append, todo.extend
+    op_of, children = _OPS.get, M.children
     while todo:
         node = pop()
-        t = type(node)
-        if t is tuple:
-            at[id(node[1])] = len(code)
-            if len(node) == 3:
-                code.append((node[0], at[id(node[2])], None, None))
-            elif len(node) == 4:
-                code.append((node[0], at[id(node[2])], at[id(node[3])], None))
+        if type(node) is tuple:
+            op, node, kids = node
+            at[id(node)] = len(code)
+            if len(kids) == 1:
+                code.append((op, at[id(kids[0])], None, None))
+            elif len(kids) == 2:
+                code.append((op, at[id(kids[0])], at[id(kids[1])], None))
             else:
-                code.append((node[0], at[id(node[2])], at[id(node[3])], at[id(node[4])]))
+                code.append((op, at[id(kids[0])], at[id(kids[1])], at[id(kids[2])]))
             continue
         if id(node) in at:
             continue
-        if t is M.ProjR or t is M.ProjL:
-            a = node.pair
-            push((_RIGHT if t is M.ProjR else _LEFT, node, a))
-        elif t is M.MPair:
-            if free is not None and not _free_vars(node, free):
-                at[id(node)] = len(code)
-                code.append((_ONCE, node, None, None))
-                continue
-            a, b = node.left, node.right
-            push((_PAIR, node, a, b))
-            if id(b) not in at:
-                push(b)
-        elif t is M.MApp:
-            a, b = node.fun, node.arg
-            push((_APP, node, a, b))
-            if id(b) not in at:
-                push(b)
-        elif t is M.Com:
-            a, b, c = node.first, node.second, node.third
-            push((_COM, node, a, b, c))
-            if id(c) not in at:
-                push(c)
-            if id(b) not in at:
-                push(b)
-        elif t is M.Inc:
-            a = node.body
-            push((_INC, node, a))
-        else:
-            op = _LEAVES.get(t)
-            if op is None:
-                raise MetaTypeMismatch(f"unknown metalanguage node {node!r}")
+        op = op_of(type(node))
+        if op is None:
+            raise MetaTypeMismatch(f"unknown metalanguage node {node!r}")
+        if op >= _IOTA or (op == _PAIR and free is not None and not _free_vars(node, free)):
             at[id(node)] = len(code)
-            code.append((op, node, None, None))
+            code.append((_ONCE if op == _PAIR else op, node, None, None))
             continue
-        if id(a) not in at:
-            push(a)
+        kids = children(node)
+        push((op, node, kids))
+        extend(kids[::-1])
     return code
 
 
@@ -318,14 +285,19 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
 
     A closed effect-value pair (one with no free meta variables) in a lambda
     body runs at most once per call: lazily, where a run of the body first
-    reaches it, and its value is kept until denote returns, however often
-    the lambda is applied. Its effect is a value like any other, so every
-    use still combines it into the effect of the run that uses it. A pair
-    that raises keeps nothing, and raises again at its next use.
+    reaches it, however often the lambda is applied. Its effect is a value
+    like any other, so every use still combines it into the effect of the
+    run that uses it. A pair that raises keeps nothing, and raises again at
+    its next use.
+
+    The lists and pair values are kept as long as the value denote returns,
+    or any function taken from it, is alive: such a function runs its body
+    after denote has returned, with the same tables, and goes on filling
+    them. That is sound because the instantiation is fixed for the call.
     """
     eff = inst.effect
     iota = Eff(eff.eps)
-    # keyed by node id, for this call only
+    # keyed by node id, for this call and the functions it returns
     codes: dict[int, list[tuple]] = {}  # a lambda body's list
     free: dict[int, frozenset[str]] = {}  # a node's free meta variables
     once: dict[int, SemVal] = {}  # a closed pair's value

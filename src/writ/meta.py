@@ -12,7 +12,7 @@ every occurrence of it shares that closed node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, TypeAlias
+from typing import Callable, Mapping, TypeAlias
 
 from .errors import MetaTypeMismatch
 from .signatures import Signature
@@ -22,7 +22,7 @@ __all__ = [
     "Gamma", "GAMMA", "MData", "Prod", "MArrow", "MetaType",
     "Iota", "IOTA", "Inc", "Com", "MVar", "BCons", "BFunc",
     "MLam", "MApp", "MPair", "ProjL", "ProjR", "MetaTerm",
-    "lift", "bcons_type", "bfunc_type", "translate", "meta_typecheck",
+    "children", "lift", "bcons_type", "bfunc_type", "translate", "meta_typecheck",
     "render_meta", "render_meta_type",
 ]
 
@@ -142,6 +142,23 @@ MetaTerm: TypeAlias = (
 )
 
 IOTA = Iota()
+
+# the direct subterms of each node kind that has any, left to right
+_CHILDREN: dict[type, Callable[[MetaTerm], tuple[MetaTerm, ...]]] = {
+    Inc: lambda n: (n.body,),
+    Com: lambda n: (n.first, n.second, n.third),
+    MLam: lambda n: (n.body,),
+    MApp: lambda n: (n.fun, n.arg),
+    MPair: lambda n: (n.left, n.right),
+    ProjL: lambda n: (n.pair,),
+    ProjR: lambda n: (n.pair,),
+}
+
+
+def children(mt: MetaTerm) -> tuple[MetaTerm, ...]:
+    """The direct subterms of mt, left to right; a lambda's body is one."""
+    kids = _CHILDREN.get(type(mt))
+    return () if kids is None else kids(mt)
 
 
 # ---------------------------------------------------------------- symbol types

@@ -42,6 +42,7 @@ from writ import (
     PCons,
     PVar,
     Rule,
+    SEARCH_TEMPLATE,
     Signature,
     Table,
     UnsupportedSymbol,
@@ -68,10 +69,7 @@ from writ import (
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 ORACLES = (Identity(), Constant(3), Table(((0, 4), (1, 2), (5, 0)), default=1))
-SEARCH = (
-    "(fn w:(Nat->Nat)->Nat => fn y:Nat->Nat => fn z:List => bar w (fn u:List => 0) "
-    "(fn v:List => fn p:Nat->Nat => succ (p (y (len v)))) z)"
-)
+SEARCH = f"({SEARCH_TEMPLATE})"
 
 
 def _outcome(run, sig, term, fuel):

@@ -8,6 +8,7 @@ import pytest
 from writ import (
     COST,
     QUERIES,
+    SEARCH_TEMPLATE,
     TRIVIAL,
     Base,
     BaseList,
@@ -40,10 +41,7 @@ from writ import (
     with_oracle,
 )
 
-SEARCH = (
-    "(fn w:(Nat->Nat)->Nat => fn y:Nat->Nat => fn z:List => bar w (fn u:List => 0) "
-    "(fn v:List => fn p:Nat->Nat => succ (p (y (len v)))) z)"
-)
+SEARCH = f"({SEARCH_TEMPLATE})"
 
 
 class CountingDict(dict):

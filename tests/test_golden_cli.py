@@ -8,9 +8,10 @@ change, run from the root of the checkout:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 
-`writ translate` prints each shared subterm of a translation in full, so on
-the files in HEAVY it prints 1 to 150 MB and takes seconds each. Those
-replays run only with WRIT_GOLDEN_HEAVY=1 set.
+`writ translate` prints each shared subterm of a translation in full, so
+on some files it prints 1 to 150 MB and takes seconds; a replay of all of
+them would take minutes. A translation longer than LARGE characters is not
+pinned: the file holds no `translate` hash for it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import contextlib
 import hashlib
 import io
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -39,51 +39,45 @@ COMMANDS = {
     "majorize": (),
     "modulus": ("--oracle", "identity"),
 }
-HEAVY = {
-    "bar_ext_pad", "bar_ext_read", "bar_probe_segment", "bar_search_const",
-    "bar_search_probe", "bar_search_sum", "bar_settled_nonempty", "list_beta_fold",
-    "list_cons", "list_fold_const", "list_fold_count", "list_fold_rebuild", "list_len",
-    "list_mul_len", "mod_ignores",
-}
+LARGE = 1 << 20
 FILES = sorted(CORPUS.glob("*.wt"))
 
 
-def digest(command: str, path: Path) -> str:
-    """sha256 of stdout, stderr and exit code of one in-process command."""
+def run(command: str, path: Path) -> tuple[str, str, int]:
+    """stdout, stderr and exit code of one in-process command."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main([command, str(path), *COMMANDS[command]])
-    blob = json.dumps([out.getvalue(), err.getvalue(), code])
+    return out.getvalue(), err.getvalue(), code
+
+
+def digest(result: tuple[str, str, int]) -> str:
+    blob = json.dumps(list(result))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def compute() -> dict[str, dict[str, str]]:
-    return {p.name: {c: digest(c, p) for c in COMMANDS} for p in FILES}
+    golden = {}
+    for path in FILES:
+        golden[path.name] = {}
+        for command in COMMANDS:
+            result = run(command, path)
+            if command != "translate" or len(result[0]) <= LARGE:
+                golden[path.name][command] = digest(result)
+    return golden
 
 
 def test_golden_covers_the_corpus():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(golden) == [p.name for p in FILES]
-    assert HEAVY <= {p.stem for p in FILES}
-    assert all(sorted(cmds) == sorted(COMMANDS) for cmds in golden.values())
-
-
-def _golden(path: Path, commands) -> dict[str, str]:
-    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[path.name]
-    return {c: golden[c] for c in commands}
+    assert all(set(COMMANDS) - {"translate"} <= set(cmds) <= set(COMMANDS)
+               for cmds in golden.values())
 
 
 @pytest.mark.parametrize("path", FILES, ids=lambda p: p.stem)
 def test_cli_bytes_match_golden(path):
-    commands = [c for c in COMMANDS if c != "translate" or path.stem not in HEAVY]
-    assert {c: digest(c, path) for c in commands} == _golden(path, commands)
-
-
-@pytest.mark.skipif(os.environ.get("WRIT_GOLDEN_HEAVY") != "1",
-                    reason="set WRIT_GOLDEN_HEAVY=1 to replay the large translations")
-@pytest.mark.parametrize("path", [p for p in FILES if p.stem in HEAVY], ids=lambda p: p.stem)
-def test_heavy_translate_bytes_match_golden(path):
-    assert {"translate": digest("translate", path)} == _golden(path, ["translate"])
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))[path.name]
+    assert {c: digest(run(c, path)) for c in golden} == golden
 
 
 if __name__ == "__main__":

@@ -36,10 +36,8 @@ from writ import (
     translate,
     typecheck,
 )
-from writ.meta import Iota
+from writ.meta import children
 from writ.syntax import LIST, Lam
-
-_TERM_NODES = (Iota, Inc, Com, MVar, BCons, BFunc, MLam, MApp, MPair, ProjL, ProjR)
 
 
 def dag_size(mt):
@@ -50,7 +48,7 @@ def dag_size(mt):
         node = todo.pop()
         if id(node) not in seen:
             seen.add(id(node))
-            todo += [v for v in vars(node).values() if isinstance(v, _TERM_NODES)]
+            todo += children(node)
     return len(seen)
 
 
@@ -152,6 +150,15 @@ def test_numeral_translation_grows_by_one_application_per_successor():
     # nine nodes per application; a fresh succ lambda per occurrence would
     # add six more
     assert [b - a for a, b in zip(sizes, sizes[1:])] == [9] * 5
+
+
+def test_children_are_the_direct_subterms_left_to_right():
+    a, b, c = MVar("a"), MVar("b"), IOTA
+    assert children(Com(a, b, c)) == (a, b, c)
+    assert children(MApp(a, b)) == children(MPair(a, b)) == (a, b)
+    assert children(Inc(a)) == children(ProjL(a)) == children(ProjR(a)) == (a,)
+    assert children(MLam("x", MData("Nat"), a)) == (a,)
+    assert children(a) == children(IOTA) == children(BCons("zero")) == ()
 
 
 def test_translate_function_symbol_arity_three():
