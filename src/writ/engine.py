@@ -5,10 +5,8 @@ sequences, pairs, host functions, and effect annotations drawn from one
 EffectTriple (an empty effect, a one-step extension, and a three-way
 combination). Swapping the triple and the symbol interpretations changes
 the analysis without touching the interpreter. denote runs the top level
-and each lambda body as a loop over its nodes, so literals of any size need
-no host recursion, and it runs a closed effect-value pair in a lambda body
-at most once per call, however often the lambda is applied (full laziness:
-such a pair means the same at every application).
+and each lambda body as a loop over its nodes, and builds each literal leaf
+once per call by folding the instantiation's constructors.
 
 pure_denote is the effect-free reference semantics used as an independent
 value oracle.
@@ -26,8 +24,8 @@ from .errors import (
     ShapeMismatch,
 )
 from . import meta as M
-from .signatures import OracleSpec
-from .syntax import App, Cons, Func, Lam, Term, Var
+from .signatures import OracleSpec, _delta_ext
+from .syntax import App, Cons, Func, Lam, Lit, Term, Var
 
 __all__ = [
     "EffectTriple", "COST", "QUERIES", "TRIVIAL",
@@ -42,17 +40,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EffectTriple:
-    """One choice of effect algebra: carrier, empty, step, combination."""
+    """One choice of effect algebra: empty, step, combination."""
 
-    carrier: str
     eps: object
     inc: Callable[[object], object]
     com: Callable[[object, object, object], object]
 
 
-COST = EffectTriple("Nat", 0, lambda c: c + 1, lambda a, b, c: a + b + c)
-QUERIES = EffectTriple("NatList", (), lambda c: c, lambda a, b, c: a + b + c)
-TRIVIAL = EffectTriple("Unit", None, lambda c: None, lambda a, b, c: None)
+COST = EffectTriple(0, lambda c: c + 1, lambda a, b, c: a + b + c)
+QUERIES = EffectTriple((), lambda c: c, lambda a, b, c: a + b + c)
+TRIVIAL = EffectTriple(None, lambda c: None, lambda a, b, c: None)
 
 
 # ---------------------------------------------------------------- values
@@ -183,61 +180,23 @@ class Instantiation:
 
 # ---------------------------------------------------------------- interpreter
 
-_RIGHT, _LEFT, _PAIR, _APP, _COM, _INC, _IOTA, _VAR, _LAM, _CONS, _FUNC, _ONCE = range(12)
+_RIGHT, _LEFT, _PAIR, _APP, _COM, _INC, _IOTA, _VAR, _LAM, _CONS, _FUNC, _LIT = range(12)
 
 # each node kind's opcode; from _IOTA on, the node is a leaf of its scope (a
 # lambda's body is a scope of its own)
 _OPS: dict[type, int] = {
     M.ProjR: _RIGHT, M.ProjL: _LEFT, M.MPair: _PAIR, M.MApp: _APP, M.Com: _COM,
     M.Inc: _INC, M.Iota: _IOTA, M.MVar: _VAR, M.MLam: _LAM, M.BCons: _CONS,
-    M.BFunc: _FUNC,
+    M.BFunc: _FUNC, M.MLit: _LIT,
 }
 
-_CLOSED: frozenset[str] = frozenset()
 
-
-def _free_vars(root: M.MetaTerm, free: dict[int, frozenset[str]]) -> frozenset[str]:
-    """The free meta variables of root; fills free, keyed by node id, for
-    every node under root, lambda bodies included, so that each node of a
-    DAG is visited once however often this is called."""
-    todo: list = [root]  # nodes to visit, and (node, children) to finish
-    pop, push = todo.pop, todo.append
-    while todo:
-        node = pop()
-        if type(node) is tuple:
-            node, kids = node
-            if type(node) is M.MLam:
-                names = free[id(kids[0])] - {node.var}
-            else:
-                names = _CLOSED
-                for kid in kids:
-                    if free[id(kid)]:
-                        names = names | free[id(kid)]
-            free[id(node)] = names
-            continue
-        if id(node) in free:
-            continue
-        kids = M.children(node)
-        if not kids:
-            free[id(node)] = frozenset((node.name,)) if type(node) is M.MVar else _CLOSED
-            continue
-        push((node, kids))
-        for kid in kids:
-            if id(kid) not in free:
-                push(kid)
-    return free[id(root)]
-
-
-def _flatten(
-    root: M.MetaTerm, free: Optional[dict[int, frozenset[str]]] = None
-) -> list[tuple]:
+def _flatten(root: M.MetaTerm) -> list[tuple]:
     """One scope as a children-first list, a shared node once, in the order a
     left-to-right walk that remembers shared nodes would finish them.
 
     Each entry is an opcode and three operands: the positions of the node's
-    children in the list, or the node itself when it has none. Given free
-    (see _free_vars), the scope is a lambda body, and each closed pair in it
-    is one _ONCE entry holding the pair, whose own nodes stay out of the list.
+    children in the list, or the node itself when it has none.
     """
     code: list[tuple] = []
     at: dict[int, int] = {}
@@ -263,14 +222,39 @@ def _flatten(
         op = op_of(type(node))
         if op is None:
             raise MetaTypeMismatch(f"unknown metalanguage node {node!r}")
-        if op >= _IOTA or (op == _PAIR and free is not None and not _free_vars(node, free)):
+        if op >= _IOTA:
             at[id(node)] = len(code)
-            code.append((_ONCE if op == _PAIR else op, node, None, None))
+            code.append((op, node, None, None))
             continue
         kids = children(node)
         push((op, node, kids))
         extend(kids[::-1])
     return code
+
+
+def _literal(inst: "Instantiation", value: "int | tuple[int, ...]") -> SemVal:
+    """What the translation of the literal's constructor spine denotes: each
+    application of a constructor takes its interpretation to the value so
+    far, and combines the empty effect, the effect so far and the empty
+    effect of the call. The interpretations are read as the spine's run
+    would read them."""
+    eps, com = inst.effect.eps, inst.effect.com
+
+    def numeral(n: int) -> tuple[object, SemVal]:
+        c, v = eps, inst.cons("zero")
+        for _ in range(n):
+            c, v = com(eps, c, eps), as_fun(inst.cons("succ")).fn(v)
+        return c, v
+
+    if type(value) is int:
+        c, v = numeral(value)
+    else:
+        c, v = eps, inst.cons("nil")
+        for n in value:
+            c_n, v_n = numeral(n)
+            c = com(com(eps, c, eps), c_n, eps)
+            v = as_fun(as_fun(inst.cons("cons")).fn(v)).fn(v_n)
+    return SPair(Eff(c), v)
 
 
 def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
@@ -280,27 +264,21 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     once per call (a body when it first runs) into a list in which a shared
     node appears once (sound because SemVal functions are pure). A run of a
     scope is a plain loop, linear in its DAG, whose values live only as long
-    as the run; the host recurses only where one lambda's run calls another,
-    never per literal constructor.
+    as the run; the host recurses only where one lambda's run calls another.
+    A literal leaf is built once per call, where a run first reaches it,
+    however often the lambda around it is applied.
 
-    A closed effect-value pair (one with no free meta variables) in a lambda
-    body runs at most once per call: lazily, where a run of the body first
-    reaches it, however often the lambda is applied. Its effect is a value
-    like any other, so every use still combines it into the effect of the
-    run that uses it. A pair that raises keeps nothing, and raises again at
-    its next use.
-
-    The lists and pair values are kept as long as the value denote returns,
-    or any function taken from it, is alive: such a function runs its body
-    after denote has returned, with the same tables, and goes on filling
-    them. That is sound because the instantiation is fixed for the call.
+    The lists and literal values are kept as long as the value denote
+    returns, or any function taken from it, is alive: such a function runs
+    its body after denote has returned, with the same tables, and goes on
+    filling them. That is sound because the instantiation is fixed for the
+    call.
     """
     eff = inst.effect
     iota = Eff(eff.eps)
     # keyed by node id, for this call and the functions it returns
     codes: dict[int, list[tuple]] = {}  # a lambda body's list
-    free: dict[int, frozenset[str]] = {}  # a node's free meta variables
-    once: dict[int, SemVal] = {}  # a closed pair's value
+    literals: dict[int, SemVal] = {}  # a literal leaf's value
 
     def closure(lam: M.MLam, scope: SemEnv) -> SFun:
         body, var = lam.body, lam.var
@@ -308,7 +286,7 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
         def call(a: SemVal) -> SemVal:
             code = codes.get(id(body))
             if code is None:
-                code = codes[id(body)] = _flatten(body, free)
+                code = codes[id(body)] = _flatten(body)
             return run(code, {**scope, var: a})
 
         return SFun(call)
@@ -337,19 +315,19 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
                     raise MetaTypeMismatch(
                         f"unbound meta variable {x.name!r} at interpretation time"
                     ) from None
-            elif op == _ONCE:
-                v = once.get(id(x))
-                if v is None:
-                    v = once[id(x)] = run(_flatten(x), {})
-                push(v)
             elif op == _LAM:
                 push(closure(x, scope))
             elif op == _INC:
                 push(Eff(eff.inc(as_eff(vals[x]).amount)))
             elif op == _CONS:
                 push(inst.cons(x.symbol))
-            else:
+            elif op == _FUNC:
                 push(inst.func(x.symbol))
+            else:
+                v = literals.get(id(x))
+                if v is None:
+                    v = literals[id(x)] = _literal(inst, x.value)
+                push(v)
         return vals[-1]
 
     return run(_flatten(mt), dict(env))
@@ -403,6 +381,9 @@ def pure_denote(
         return _pure_cons(t.name)
     if isinstance(t, Func):
         return _pure_func(t.name, oracle, search_depth)
+    if isinstance(t, Lit):
+        v = t.value
+        return Base(v) if type(v) is int else BaseList(v)
     raise MissingInterpretation(repr(t))
 
 
@@ -431,21 +412,22 @@ def _pure_func(name: str, oracle: Optional[OracleSpec], depth: int) -> SemVal:
         return SFun(lambda a: Base(len(as_list(a).items)))
     if name == "ext":
         return SFun(
-            lambda a: SFun(lambda n: Base(_pad(as_list(a).items, as_base(n).value)))
+            lambda a: SFun(lambda n: Base(_delta_ext((as_list(a).items, as_base(n).value))))
         )
     if name == "alpha":
         if oracle is None:
             raise MissingInterpretation("alpha", "no oracle supplied")
         g = oracle
         return SFun(lambda n: Base(g(as_base(n).value)))
-    if name.startswith("rec["):
-        return SFun(
-            lambda a: SFun(lambda f: SFun(lambda n: _pure_rec(a, f, as_base(n).value)))
-        )
-    if name.startswith("fold["):
-        return SFun(
-            lambda a: SFun(lambda f: SFun(lambda xs: _pure_fold(a, f, as_list(xs).items)))
-        )
+    if name.startswith(("rec[", "fold[")):
+        # rec runs its stages at 0..n-1, fold at the items; peeling a list
+        # from the right nests the same way as iterating left to right
+        def stages(a: SemVal, f: SemVal, arg: SemVal) -> SemVal:
+            for i in range(as_base(arg).value) if name[0] == "r" else as_list(arg).items:
+                a = as_fun(as_fun(f).fn(Base(i))).fn(a)
+            return a
+
+        return SFun(lambda a: SFun(lambda f: SFun(lambda arg: stages(a, f, arg))))
     if name == "bar":
         return SFun(
             lambda w: SFun(
@@ -477,32 +459,12 @@ def _pure_bin(op: Callable[[int, int], int]) -> SemVal:
     return SFun(lambda m: SFun(lambda n: Base(op(as_base(m).value, as_base(n).value))))
 
 
-def _pad(items: tuple[int, ...], n: int) -> int:
-    # out-of-range lookups read as zero
-    return items[n] if n < len(items) else 0
-
-
-def _pure_rec(a: SemVal, f: SemVal, n: int) -> SemVal:
-    cur = a
-    for i in range(n):
-        cur = as_fun(as_fun(f).fn(Base(i))).fn(cur)
-    return cur
-
-
-def _pure_fold(a: SemVal, f: SemVal, items: tuple[int, ...]) -> SemVal:
-    # peeling from the right nests the same way as iterating left to right
-    cur = a
-    for z in items:
-        cur = as_fun(as_fun(f).fn(Base(z))).fn(cur)
-    return cur
-
-
 def _pure_bar(
     w: SemVal, g: SemVal, h: SemVal, items: tuple[int, ...], depth: int
 ) -> SemVal:
     if depth <= 0:
         raise FuelExhausted(_SEARCH_DEPTH)
-    padded = SFun(lambda i: Base(_pad(items, as_base(i).value)))
+    padded = SFun(lambda i: Base(_delta_ext((items, as_base(i).value))))
     settled = as_base(as_fun(w).fn(padded)).value
     if settled < len(items):
         return as_fun(g).fn(BaseList(items))

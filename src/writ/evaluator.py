@@ -25,6 +25,7 @@ from .syntax import (
     App,
     Cons,
     Lam,
+    Lit,
     Pattern,
     PVar,
     Term,
@@ -32,9 +33,7 @@ from .syntax import (
     app,
     free_vars,
     list_term,
-    list_value,
     numeral,
-    numeral_value,
     render_term,
     substitute,
     typecheck,
@@ -221,21 +220,15 @@ class _Machine:
 
     def compile(self, t: Term, names: tuple[str, ...]) -> tuple:
         if isinstance(t, App):
-            # literals become constants whole: they nest as deep as their size
-            if isinstance(t.fun, Cons):
-                n = numeral_value(t)
-                if n is not None:
-                    return (_CONST, n)
-            elif isinstance(t.fun, App) and isinstance(t.fun.fun, Cons):
-                items = list_value(t)
-                if items is not None:
-                    return (_CONST, _Seq(list(items), len(items)))
             return (_APP, self.compile(t.fun, names), self.compile(t.arg, names))
         if isinstance(t, Lam):
             return (_LAM, self.compile(t.body, names + (t.var,)), t, names)
         if isinstance(t, Var):
             # the innermost binder of the name; typechecking ruled out none
             return (_VAR, len(names) - 1 - names[::-1].index(t.name))
+        if isinstance(t, Lit):
+            v = t.value
+            return (_CONST, v if type(v) is int else _Seq(list(v), len(v)))
         return (_CONST, self.symbol(t))
 
     def symbol(self, t: Term):

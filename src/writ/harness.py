@@ -51,7 +51,6 @@ from .signatures import (
 )
 from .syntax import (
     App,
-    Cons,
     Func,
     Term,
     app,
@@ -370,7 +369,7 @@ def verify_spector(
     sig = bar_rec()
     try:
         search = parse_term(SEARCH_TEMPLATE)
-        full = app(search, omega_term, beta_term, Cons("nil"))
+        full = app(search, omega_term, beta_term, list_term(()))
         res = evaluate(sig, full, fuel)
         rep = exact_cost(full, sig, fuel)
         omega_fun = _pair_fun(sig, omega_term, fuel)

@@ -31,7 +31,6 @@ from .engine import (
     Instantiation,
     SemVal,
     SFun,
-    _pad,
     as_base,
     as_fun,
     as_list,
@@ -42,7 +41,9 @@ from .engine import (
 )
 from .evaluator import DEFAULT_FUEL, Fuel
 from .meta import translate
-from .signatures import OracleSpec, Signature, signature_for, system_t, system_t_list
+from .signatures import (
+    OracleSpec, Signature, _delta_ext, signature_for, system_t, system_t_list,
+)
 from .syntax import (
     NAT,
     Arrow,
@@ -180,7 +181,7 @@ def _exact_bar(fuel: Fuel) -> tuple[SemVal, SemVal]:
     """
 
     def probe(items: tuple[int, ...]) -> SemVal:
-        return SFun(lambda i: spair(1, Base(_pad(items, as_base(i).value))))
+        return SFun(lambda i: spair(1, Base(_delta_ext((items, as_base(i).value)))))
 
     def run(w: SemVal, g: SemVal, h: SemVal, items: tuple[int, ...], depth: int) -> SemVal:
         if depth <= 0:
@@ -252,7 +253,7 @@ def cost_exact_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
             "len": SFun(lambda a: spair(1, Base(len(as_list(a).items)))),
             "ext": SFun(
                 lambda a: SFun(
-                    lambda n: spair(1, Base(_pad(as_list(a).items, as_base(n).value)))
+                    lambda n: spair(1, Base(_delta_ext((as_list(a).items, as_base(n).value))))
                 )
             ),
             "bar": bar,

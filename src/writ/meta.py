@@ -5,8 +5,8 @@ an effect component and a value component. Arrows lift so that calling a
 lifted function also yields an effect (lift(a->b) = lift(a) -> Gamma x
 lift(b)). The translation is emitted literally, redexes and all; shared
 subterms are built once and referenced twice, so consumers can treat the
-output as a DAG. Each distinct symbol is translated once per call and
-every occurrence of it shares that closed node.
+output as a DAG. A literal translates to one leaf, MLit, which stands for
+the translation of its constructor spine.
 """
 
 from __future__ import annotations
@@ -15,13 +15,16 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, TypeAlias
 
 from .errors import MetaTypeMismatch
-from .signatures import Signature
-from .syntax import App, Arrow, Cons, Data, Func, Lam, Term, Ty, TyContext, Var, typecheck
+from .signatures import Signature, system_t_list
+from .syntax import (
+    App, Arrow, Cons, Data, Func, Lam, Lit, Term, Ty, TyContext, Var, literal_spine,
+    typecheck,
+)
 
 __all__ = [
     "Gamma", "GAMMA", "MData", "Prod", "MArrow", "MetaType",
     "Iota", "IOTA", "Inc", "Com", "MVar", "BCons", "BFunc",
-    "MLam", "MApp", "MPair", "ProjL", "ProjR", "MetaTerm",
+    "MLam", "MApp", "MPair", "ProjL", "ProjR", "MLit", "MetaTerm",
     "children", "lift", "bcons_type", "bfunc_type", "translate", "meta_typecheck",
     "render_meta", "render_meta_type",
 ]
@@ -137,11 +140,19 @@ class ProjR:
     pair: "MetaTerm"
 
 
+@dataclass(frozen=True)
+class MLit:
+    """The translation of a literal's constructor spine, an effect-value pair."""
+
+    value: "int | tuple[int, ...]"
+
+
 MetaTerm: TypeAlias = (
-    "Iota | Inc | Com | MVar | BCons | BFunc | MLam | MApp | MPair | ProjL | ProjR"
+    "Iota | Inc | Com | MVar | BCons | BFunc | MLam | MApp | MPair | ProjL | ProjR | MLit"
 )
 
 IOTA = Iota()
+_LITERAL_SIG = system_t_list()  # declares every constructor of a literal's spine
 
 # the direct subterms of each node kind that has any, left to right
 _CHILDREN: dict[type, Callable[[MetaTerm], tuple[MetaTerm, ...]]] = {
@@ -211,13 +222,9 @@ def translate(sig: Signature, ctx: TyContext, t: Term) -> MetaTerm:
 
 
 def _translate(sig: Signature, t: Term) -> MetaTerm:
-    """Children first, on an explicit stack: literals nest as deep as the
-    numbers they encode. A symbol's translation is closed, so each distinct
-    constructor or function symbol is translated once and every occurrence
-    of it is the same node; variables get a node each."""
+    """Children first, on an explicit stack."""
     todo: list[tuple[Term, bool]] = [(t, False)]
     done: list[MetaTerm] = []
-    leaves: dict[Term, MetaTerm] = {}
     while todo:
         node, ready = todo.pop()
         if isinstance(node, Lam):
@@ -236,11 +243,8 @@ def _translate(sig: Signature, t: Term) -> MetaTerm:
             fun = done.pop()
             call = MApp(ProjR(fun), ProjR(arg))  # shared: referenced twice below
             done.append(MPair(Com(ProjL(fun), ProjL(arg), ProjL(call)), ProjR(call)))
-        elif isinstance(node, (Cons, Func)):
-            leaf = leaves.get(node)
-            if leaf is None:
-                leaf = leaves[node] = _translate_leaf(sig, node)
-            done.append(leaf)
+        elif isinstance(node, Lit):
+            done.append(MLit(node.value))
         else:
             done.append(_translate_leaf(sig, node))
     return done[0]
@@ -324,6 +328,8 @@ def meta_typecheck(
                     f"projected from a non-pair of type {render_meta_type(pair_ty)}"
                 )
             return pair_ty.left if isinstance(node, ProjL) else pair_ty.right
+        if isinstance(node, MLit):
+            return Prod(GAMMA, MData("Nat" if type(node.value) is int else "List"))
         raise MetaTypeMismatch(f"unknown metalanguage node {node!r}")
 
     def _require(actual: MetaType, expected: MetaType, where: str) -> None:
@@ -350,6 +356,8 @@ def render_meta_type(ty: MetaType) -> str:
 
 def render_meta(mt: MetaTerm) -> str:
     """Linear rendering for display; shared subterms print twice."""
+    if isinstance(mt, MLit):
+        return render_meta(_translate(_LITERAL_SIG, literal_spine(Lit(mt.value))))
     if isinstance(mt, Iota):
         return "iota"
     if isinstance(mt, Inc):

@@ -10,7 +10,9 @@ Grammar sketch:
 Arrows associate right, application associates left. "--" starts a line
 comment. The reserved identifiers resolve to constructor/function symbols;
 "rec" and "fold" must be followed immediately by a bracketed type index and
-resolve to the monomorphic family member, e.g. rec[Nat->Nat].
+resolve to the monomorphic family member, e.g. rec[Nat->Nat]. Numerals,
+list brackets, zero, nil and each complete application are folded into
+literal nodes where they spell one (see syntax.fold_literal).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .syntax import (
     Term,
     Ty,
     Var,
+    fold_literal,
     list_term,
     numeral,
     render_type,
@@ -152,7 +155,8 @@ class _Parser:
         t = self.atom()
         while self._starts_atom(self.peek()):
             t = App(t, self.atom())
-        return t
+        # folded only once complete: "succ 0 0" stays the spine it is written as
+        return fold_literal(t)
 
     @staticmethod
     def _starts_atom(tok: _Token) -> bool:
@@ -192,7 +196,7 @@ class _Parser:
     def ident_atom(self, tok: _Token) -> Term:
         name = tok.text
         if name in CONS_NAMES:
-            return Cons(name)
+            return fold_literal(Cons(name))
         if name in FUNC_NAMES:
             return Func(name)
         if name in _INDEXED:

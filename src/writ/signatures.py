@@ -230,6 +230,7 @@ def _delta_len(args: Sequence[Sequence[int]]) -> int:
 
 
 def _delta_ext(args: Sequence[Any]) -> int:
+    # an out-of-range lookup reads zero
     items, n = args
     return items[n] if n < len(items) else 0
 
@@ -458,7 +459,7 @@ _BAR_SYMBOLS = frozenset({"ext", "bar", "bar1"})
 
 
 def _mentions_list_type(t: Term) -> bool:
-    # iterative: numeral literals nest as deep as the numbers they encode
+    # iterative: terms can nest deeper than the recursion limit
     todo: list[Term] = [t]
     while todo:
         s = todo.pop()

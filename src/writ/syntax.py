@@ -3,9 +3,10 @@
 Terms are immutable trees. A value is a closed term of restricted shape;
 see is_value. The evaluator computes on host forms of values and reads its
 result back as such a term; substitute and match_pattern give the rewriting
-semantics it must agree with. Numerals and list literals are not separate
-node kinds, they are the usual constructor spines, and the helpers here
-convert between them and Python ints/tuples.
+semantics it must agree with. A numeral or list literal is one node, Lit,
+holding its Python int or tuple of ints: it stands for the closed constructor
+spine zero/succ or nil/cons, and fold_literal turns such a spine, built one
+application at a time, into the node.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ if TYPE_CHECKING:
 
 __all__ = [
     "Data", "Arrow", "Ty", "NAT", "LIST",
-    "Var", "Cons", "Func", "Lam", "App", "Term",
+    "Var", "Cons", "Func", "Lam", "App", "Lit", "Term",
     "PVar", "PCons", "Pattern", "TyContext",
     "app", "spine", "free_vars", "symbols",
-    "numeral", "numeral_value", "list_term", "list_value",
+    "numeral", "numeral_value", "list_term", "list_value", "fold_literal", "literal_spine",
     "render_type", "render_term",
     "substitute", "match_pattern", "is_value", "typecheck",
 ]
@@ -86,7 +87,14 @@ class App:
     arg: "Term"
 
 
-Term: TypeAlias = "Var | Cons | Func | Lam | App"
+@dataclass(frozen=True)
+class Lit:
+    """A numeral (an int) or a list literal (a tuple of ints)."""
+
+    value: "int | tuple[int, ...]"
+
+
+Term: TypeAlias = "Var | Cons | Func | Lam | App | Lit"
 
 TyContext: TypeAlias = Mapping[str, "Ty"]
 
@@ -131,8 +139,7 @@ def spine(t: Term) -> tuple[Term, tuple[Term, ...]]:
 
 
 def free_vars(t: Term) -> frozenset[str]:
-    # iterative: values read back into terms can be far deeper than any
-    # source program (a numeral per arithmetic output)
+    # iterative: values read back into terms can be deep
     free: set[str] = set()
     todo: list[tuple[Term, frozenset[str]]] = [(t, frozenset())]
     while todo:
@@ -157,6 +164,11 @@ def symbols(t: Term) -> frozenset[str]:
         s = todo.pop()
         if isinstance(s, (Cons, Func)):
             names.add(s.name)
+        elif isinstance(s, Lit) and type(s.value) is tuple:
+            names.update(("nil", "cons") if s.value else ("nil",))
+            todo.extend(map(Lit, set(s.value)))
+        elif isinstance(s, Lit):
+            names.update(("zero", "succ") if s.value else ("zero",))
         elif isinstance(s, Lam):
             todo.append(s.body)
         elif isinstance(s, App):
@@ -166,55 +178,73 @@ def symbols(t: Term) -> frozenset[str]:
 
 
 def numeral(n: int) -> Term:
-    """The numeral for n: zero under n successors."""
+    """The numeral for n."""
     if n < 0:
         raise ValueError("numerals are naturals")
-    t: Term = Cons("zero")
-    for _ in range(n):
-        t = App(Cons("succ"), t)
-    return t
+    return Lit(n)
 
 
 def numeral_value(t: Term) -> Optional[int]:
-    """Decode a numeral, or None if t is not one."""
-    n = 0
-    while True:
-        if isinstance(t, Cons) and t.name == "zero":
-            return n
-        if isinstance(t, App) and isinstance(t.fun, Cons) and t.fun.name == "succ":
-            n += 1
-            t = t.arg
-            continue
-        return None
+    """The number a numeral holds, or None if t is not one."""
+    return t.value if isinstance(t, Lit) and type(t.value) is int else None
 
 
 def list_term(items: Iterable[int]) -> Term:
     """The list literal for items, extended element by element on the right."""
-    t: Term = Cons("nil")
-    for n in items:
-        t = App(App(Cons("cons"), t), numeral(n))
-    return t
+    items = tuple(items)
+    if any(n < 0 for n in items):
+        raise ValueError("numerals are naturals")
+    return Lit(items)
 
 
 def list_value(t: Term) -> Optional[tuple[int, ...]]:
-    """Decode a literal list of numerals, or None if t is not one."""
-    rev: list[int] = []
-    while True:
-        if isinstance(t, Cons) and t.name == "nil":
-            return tuple(reversed(rev))
-        if (
-            isinstance(t, App)
-            and isinstance(t.fun, App)
-            and isinstance(t.fun.fun, Cons)
-            and t.fun.fun.name == "cons"
-        ):
-            n = numeral_value(t.arg)
-            if n is None:
-                return None
-            rev.append(n)
-            t = t.fun.arg
-            continue
-        return None
+    """The items a list literal holds, or None if t is not one."""
+    return t.value if isinstance(t, Lit) and type(t.value) is tuple else None
+
+
+def fold_literal(t: Term) -> Term:
+    """t as a literal if it is zero, nil, succ of a numeral, or cons of a list
+    literal and a numeral; t itself otherwise. Only t's own node is looked
+    at: its children are taken as folded already."""
+    if isinstance(t, Cons):
+        if t.name == "zero":
+            return Lit(0)
+        return Lit(()) if t.name == "nil" else t
+    if not (isinstance(t, App) and isinstance(t.arg, Lit) and type(t.arg.value) is int):
+        return t
+    fun = t.fun
+    if isinstance(fun, Cons) and fun.name == "succ":
+        return Lit(t.arg.value + 1)
+    if (isinstance(fun, App) and isinstance(fun.fun, Cons) and fun.fun.name == "cons"
+            and isinstance(fun.arg, Lit) and type(fun.arg.value) is tuple):
+        return Lit(fun.arg.value + (t.arg.value,))
+    return t
+
+
+def literal_spine(t: Lit) -> Term:
+    """The whole constructor spine t stands for, built without recursion."""
+
+    def spell(n: int) -> Term:
+        out: Term = Cons("zero")
+        for _ in range(n):
+            out = App(Cons("succ"), out)
+        return out
+
+    v = t.value
+    if type(v) is int:
+        return spell(v)
+    out: Term = Cons("nil")
+    for n in v:
+        out = App(App(Cons("cons"), out), spell(n))
+    return out
+
+
+def _unfold_literal(t: Lit) -> Term:
+    """The outermost constructor application of the spine t stands for."""
+    v = t.value
+    if type(v) is int:
+        return App(Cons("succ"), Lit(v - 1)) if v else Cons("zero")
+    return App(App(Cons("cons"), Lit(v[:-1])), Lit(v[-1])) if v else Cons("nil")
 
 
 # ---------------------------------------------------------------- rendering
@@ -229,15 +259,10 @@ def render_type(ty: Ty) -> str:
 
 
 def render_term(t: Term) -> str:
-    n = numeral_value(t)
-    if n is not None:
-        return str(n)
-    items = list_value(t)
-    if items is not None:
-        return "[" + ",".join(str(i) for i in items) + "]"
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, (Cons, Func)):
+    if isinstance(t, Lit):
+        v = t.value
+        return str(v) if type(v) is int else "[" + ",".join(map(str, v)) + "]"
+    if isinstance(t, (Var, Cons, Func)):
         return t.name
     if isinstance(t, Lam):
         return f"fn {t.var}:{render_type(t.var_ty)} => {render_term(t.body)}"
@@ -247,10 +272,7 @@ def render_term(t: Term) -> str:
 
 def _render_atom(t: Term) -> str:
     s = render_term(t)
-    needs_parens = isinstance(t, Lam) or (
-        isinstance(t, App) and numeral_value(t) is None and list_value(t) is None
-    )
-    return f"({s})" if needs_parens else s
+    return f"({s})" if isinstance(t, (Lam, App)) else s
 
 
 # ---------------------------------------------------------------- substitution
@@ -260,13 +282,14 @@ def substitute(t: Term, binding: Mapping[str, Term]) -> Term:
 
     Replacement terms must be closed, so capture cannot occur; a shadowing
     binder just stops the walk for its own name. Names without occurrences
-    are silently ignored.
+    are silently ignored. An application with no replaced name under it is
+    kept as it is; one that is rebuilt is folded (see fold_literal).
     """
     if not binding:
         return t
     if isinstance(t, Var):
         return binding.get(t.name, t)
-    if isinstance(t, (Cons, Func)):
+    if isinstance(t, (Cons, Func, Lit)):
         return t
     if isinstance(t, Lam):
         if t.var in binding:
@@ -275,7 +298,10 @@ def substitute(t: Term, binding: Mapping[str, Term]) -> Term:
                 return t
             return Lam(t.var, t.var_ty, substitute(t.body, inner))
         return Lam(t.var, t.var_ty, substitute(t.body, binding))
-    return App(substitute(t.fun, binding), substitute(t.arg, binding))
+    fun, arg = substitute(t.fun, binding), substitute(t.arg, binding)
+    if fun is t.fun and arg is t.arg:
+        return t
+    return fold_literal(App(fun, arg))
 
 
 # ---------------------------------------------------------------- matching
@@ -302,7 +328,7 @@ def _match_one(p: Pattern, v: Term, out: dict[str, Term]) -> bool:
     if isinstance(p, PVar):
         out[p.name] = v
         return True
-    head, args = spine(v)
+    head, args = spine(_unfold_literal(v) if isinstance(v, Lit) else v)
     return (
         isinstance(head, Cons)
         and head.name == p.cons
@@ -320,13 +346,14 @@ def is_value(sig: "Signature", t: Term) -> bool:
     applied to strictly fewer arguments than their arity (all arguments again
     values), and lambdas whose body has no free variable beyond the binder.
     """
-    # iterative for the same reason as free_vars: values of evaluation
-    # nest constructors as deep as the numbers they encode
+    # iterative for the same reason as free_vars
     todo: list[Term] = [t]
     while todo:
         s = todo.pop()
         if isinstance(s, Var):
             return False
+        if isinstance(s, Lit):
+            continue
         if isinstance(s, Lam):
             if not free_vars(s.body) <= {s.var}:
                 return False
@@ -355,28 +382,20 @@ def _check_datatypes(sig: "Signature", ty: Ty) -> None:
     _check_datatypes(sig, ty.cod)
 
 
-def _literal_type(sig: "Signature", t: Term) -> Optional[Ty]:
-    """Nat or List for a numeral or list literal whose constructors have
-    their usual types, found without recursion; None for anything else."""
-    if numeral_value(t) is not None:
-        ty, cons = NAT, (("zero", NAT), ("succ", Arrow(NAT, NAT)))
-    elif list_value(t) is not None:
-        ty, cons = LIST, (("zero", NAT), ("succ", Arrow(NAT, NAT)), ("nil", LIST),
-                          ("cons", Arrow(LIST, Arrow(NAT, LIST))))
-    else:
-        return None
-    if all(sig.has_cons(name) and sig.cons_type(name) == want for name, want in cons):
-        return ty
-    return None
+# the constructors a literal is built from, with the types that let it be
+# typed whole
+_NAT_CONS = (("zero", NAT), ("succ", Arrow(NAT, NAT)))
+_LIST_CONS = _NAT_CONS + (("nil", LIST), ("cons", Arrow(LIST, Arrow(NAT, LIST))))
 
 
 def typecheck(sig: "Signature", ctx: TyContext, t: Term) -> Ty:
     """Type a term in context; raises on any violation."""
-    if isinstance(t, App):
-        # literals nest as deep as the numbers they encode
-        lit = _literal_type(sig, t)
-        if lit is not None:
-            return lit
+    if isinstance(t, Lit):
+        ty, cons = (NAT, _NAT_CONS) if type(t.value) is int else (LIST, _LIST_CONS)
+        if all(sig.has_cons(name) and sig.cons_type(name) == want for name, want in cons):
+            return ty
+        # a signature without the usual constructors types the spine
+        return typecheck(sig, ctx, _unfold_literal(t))
     if isinstance(t, Var):
         if t.name not in ctx:
             raise UnboundVariable(t.name)

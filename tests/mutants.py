@@ -32,7 +32,7 @@ def overcharging_exact_inst() -> Instantiation:
 def forgetful_continuity_inst(g: OracleSpec) -> Instantiation:
     """Continuity analysis whose effect combination loses the call's queries."""
     inst = continuity_inst(g)
-    leaky = EffectTriple("NatList", (), lambda c: c, lambda a, b, c: a + b)
+    leaky = EffectTriple((), lambda c: c, lambda a, b, c: a + b)
     return replace(inst, effect=leaky)
 
 

@@ -4,8 +4,9 @@ It rewrites terms directly: a beta step substitutes the argument into the
 body, a rule unfold substitutes the match into the right-hand side, and
 every intermediate result is checked against the value grammar again. That
 makes it quadratic in the step count, so only small inputs go through it.
-Builtins compute on host values, so their arguments are decoded from
-numerals and list literals and their results encoded back.
+Every value it builds is folded (syntax.fold_literal), so a constructor
+spine over literals is a literal, as the machine reads its values back.
+Builtins compute on the literals' host values.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from writ.syntax import (
     Func,
     Lam,
     Term,
+    fold_literal,
     is_value,
     list_term,
     list_value,
@@ -57,21 +59,20 @@ class _Run:
             raise FuelExhausted(self.steps)
 
     def eval(self, t: Term) -> Term:
+        # an application that is a value already is rebuilt by apply, at no
+        # cost, so that it is folded
+        if isinstance(t, App):
+            return self.apply(self.eval(t.fun), self.eval(t.arg))
         if is_value(self.sig, t):
-            return t
-        # a closed well-typed non-value is an application
-        if not isinstance(t, App):
-            raise StuckTerm(render_term(t))
-        fun = self.eval(t.fun)
-        arg = self.eval(t.arg)
-        return self.apply(fun, arg)
+            return fold_literal(t)
+        raise StuckTerm(render_term(t))
 
     def apply(self, fun: Term, arg: Term) -> Term:
         # both sides are values; the application either is itself a value,
         # is a beta redex, or completes a function symbol's argument vector
         t = App(fun, arg)
         if is_value(self.sig, t):
-            return t
+            return fold_literal(t)
         if isinstance(fun, Lam):
             self.tick()
             return self.eval(substitute(fun.body, {fun.var: arg}))

@@ -36,6 +36,22 @@ def test_eval_output_bytes(wt, capsys):
     assert out == '{"value":"3","steps":10}\n'
 
 
+@pytest.mark.parametrize("argv, source, want", [
+    # constructor spines in a lambda body and in a value read back
+    (("eval",), "fn x:Nat => succ (succ zero)", (0, '{"value":"fn x:Nat => 2","steps":0}\n', "")),
+    (("eval",), "(fn x:Nat => fn y:Nat => succ x) 3",
+     (0, '{"value":"fn y:Nat => 4","steps":1}\n', "")),
+    (("eval",), "cons (cons [] 1) 2", (0, '{"value":"[1,2]","steps":0}\n', "")),
+    # an over-applied constructor prints as written
+    (("check",), "succ 0 0",
+     (2, "", "writ: expected a function type, got Nat in 'succ 0 0'\n")),
+    # a literal under a signature without its constructors
+    (("check", "--sig", "t"), "[1,2]", (2, "", "writ: undeclared symbol 'cons'\n")),
+])
+def test_literal_output_bytes(wt, capsys, argv, source, want):
+    assert run(capsys, *argv, wt("t.wt", source)) == want
+
+
 def test_modulus_output_bytes(wt, capsys):
     code, out, _ = run(capsys, "modulus", wt("ff2.wt", FF2), "--oracle", "identity")
     assert code == 0

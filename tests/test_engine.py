@@ -14,10 +14,12 @@ from writ import (
     BaseList,
     Constant,
     Eff,
+    EffectTriple,
     Fuel,
     FuelExhausted,
     Identity,
     MissingInterpretation,
+    MLit,
     SFun,
     SPair,
     ShapeMismatch,
@@ -27,9 +29,11 @@ from writ import (
     as_pair,
     compose,
     continuity_inst,
+    cost_bounded_inst,
     cost_exact_inst,
     denote,
     exact_cost,
+    majorizability_inst,
     numeral,
     pair_parts,
     parse_term,
@@ -37,9 +41,11 @@ from writ import (
     render_semval,
     spair,
     system_t,
+    system_t_list,
     translate,
     with_oracle,
 )
+from writ.syntax import Lit, literal_spine
 
 SEARCH = f"({SEARCH_TEMPLATE})"
 
@@ -151,14 +157,33 @@ def test_denote_rec_trace():
 def test_shared_nodes_interpret_once():
     """Interpretation is linear on translation DAGs.
 
-    A numeral's translation chains one application per successor; without
-    sharing the walk would double per layer and so never finish at this
-    size.
+    A numeral's constructor spine translates to one application per
+    successor; without sharing the walk would double per layer and so never
+    finish at this size.
     """
     inst = cost_exact_inst()
     sig = system_t()
-    mt = translate(sig, {}, numeral(400))
+    mt = translate(sig, {}, literal_spine(Lit(400)))
     assert pair_parts(denote(inst, {}, mt)) == (0, Base(400))
+
+
+# an effect algebra that records the shape of every combination
+SHAPES = EffectTriple("", lambda c: c + "+", lambda a, b, c: f"<{a}|{b}|{c}>")
+
+
+def _denote_or_missing(inst, mt):
+    try:
+        return denote(inst, {}, mt)
+    except MissingInterpretation as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("value", [0, 3, (), (0,), (2, 0, 1)])
+def test_literal_leaf_denotes_as_its_spine_translation(value):
+    spine = translate(system_t_list(), {}, literal_spine(Lit(value)))
+    for inst in (cost_exact_inst(), replace(cost_exact_inst(), effect=SHAPES),
+                 cost_bounded_inst(), majorizability_inst(), continuity_inst(Identity())):
+        assert _denote_or_missing(inst, MLit(value)) == _denote_or_missing(inst, spine)
 
 
 def test_denote_counts_symbol_lookups_once_per_shared_node():

@@ -15,6 +15,7 @@ from writ import (
     MData,
     MetaTypeMismatch,
     MLam,
+    MLit,
     MPair,
     MVar,
     ProjL,
@@ -37,7 +38,7 @@ from writ import (
     typecheck,
 )
 from writ.meta import children
-from writ.syntax import LIST, Lam
+from writ.syntax import LIST, Cons, Lam, Lit, literal_spine
 
 
 def dag_size(mt):
@@ -91,8 +92,9 @@ def test_function_images_pair_only_the_final_result():
 
 
 def test_translate_zero_is_the_smallest_pair():
-    mt = translate(system_t(), {}, numeral(0))
-    assert mt == MPair(IOTA, BCons("zero"))
+    assert translate(system_t(), {}, numeral(0)) == MLit(0)
+    # a bare constructor built by hand keeps its symbol's translation
+    assert translate(system_t(), {}, Cons("zero")) == MPair(IOTA, BCons("zero"))
 
 
 def test_translate_bare_constructor_wraps_each_binder():
@@ -114,7 +116,7 @@ def test_translate_variable_and_identity_lambda():
 
 
 def test_translate_application_shares_the_call_node():
-    mt = translate(system_t(), {}, numeral(1))
+    mt = translate(system_t(), {"x": NAT}, parse_term("succ x"))
     assert isinstance(mt, MPair)
     eff, val = mt.left, mt.right
     assert isinstance(eff, Com)
@@ -125,17 +127,13 @@ def test_translate_application_shares_the_call_node():
     assert isinstance(val.pair, MApp)
 
 
-def test_translate_shares_each_symbol():
+def test_translate_makes_each_literal_one_leaf():
     mt = translate(system_t_list(), {}, parse_term("add (succ 0) (succ 0)"))
     add_a, b = _parts(mt)
     add, a = _parts(add_a)
-    succ_a, zero_a = _parts(a)
-    succ_b, zero_b = _parts(b)
-    assert succ_a is succ_b
-    assert zero_a is zero_b
+    assert a == b == MLit(1)
     assert add.right.body.right.body == MApp(MApp(BFunc("add"), MVar("x1")), MVar("x2"))
-    # applications are not symbols: each occurrence keeps its own node
-    assert a is not b and a == b
+    assert translate(system_t_list(), {}, parse_term("[2,0]")) == MLit((2, 0))
 
 
 def test_render_meta_prints_shared_symbols_in_full():
@@ -145,11 +143,17 @@ def test_render_meta_prints_shared_symbols_in_full():
     assert render_meta(mt) == _render_app(_render_app(add, succ_0), succ_0)
 
 
-def test_numeral_translation_grows_by_one_application_per_successor():
-    sizes = [dag_size(translate(system_t(), {}, numeral(n))) for n in range(1, 7)]
-    # nine nodes per application; a fresh succ lambda per occurrence would
-    # add six more
-    assert [b - a for a, b in zip(sizes, sizes[1:])] == [9] * 5
+def test_literal_translation_is_one_node_at_any_size():
+    assert dag_size(translate(system_t(), {}, numeral(1000))) == 1
+    assert dag_size(translate(system_t_list(), {}, parse_term("[1000,7]"))) == 1
+
+
+@pytest.mark.parametrize("value", [0, 1, 4, (), (0,), (2, 0, 1)])
+def test_literal_leaf_renders_as_its_spine_translation(value):
+    sig = system_t_list()
+    spine = translate(sig, {}, literal_spine(Lit(value)))
+    assert render_meta(MLit(value)) == render_meta(spine)
+    assert meta_typecheck(sig, {}, MLit(value)) == meta_typecheck(sig, {}, spine)
 
 
 def test_children_are_the_direct_subterms_left_to_right():

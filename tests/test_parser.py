@@ -23,8 +23,12 @@ from writ.syntax import LIST
 def test_parse_numeral_and_list_literals():
     assert parse_term("0") == numeral(0)
     assert parse_term("12") == numeral(12)
-    assert parse_term("[]") == Cons("nil")
+    assert parse_term("[]") == list_term([])
     assert parse_term("[3,1,4]") == list_term([3, 1, 4])
+    # a complete constructor spine over literals is the literal it spells
+    assert parse_term("succ (succ zero)") == numeral(2)
+    assert parse_term("cons (cons nil 1) (succ 1)") == list_term([1, 2])
+    assert parse_term("succ 0 0") == app(Cons("succ"), numeral(0), numeral(0))
 
 
 def test_application_associates_left():
@@ -67,8 +71,11 @@ def test_indexed_symbols_require_adjacent_bracket():
 
 
 def test_known_symbols_parse_as_symbols_not_vars():
-    assert parse_term("zero") == Cons("zero")
-    assert parse_term("nil") == Cons("nil")
+    assert parse_term("succ") == Cons("succ")
+    assert parse_term("cons") == Cons("cons")
+    # the constant constructors are literals
+    assert parse_term("zero") == numeral(0)
+    assert parse_term("nil") == list_term([])
     assert parse_term("len") == Func("len")
     assert parse_term("bar") == Func("bar")
     assert parse_term("alpha") == Func("alpha")

@@ -11,6 +11,7 @@ from writ import (
     Cons,
     Func,
     Lam,
+    Lit,
     PCons,
     PVar,
     TypeMismatch,
@@ -36,12 +37,21 @@ from writ import (
     system_t_list,
     typecheck,
 )
-from writ.syntax import LIST
+from writ.syntax import LIST, fold_literal
 
 
 def test_numeral_shape():
-    assert numeral(0) == Cons("zero")
-    assert numeral(2) == App(Cons("succ"), App(Cons("succ"), Cons("zero")))
+    # one node at any size, and what its constructor spine folds to
+    assert numeral(0) == Lit(0)
+    assert numeral(2) == Lit(2)
+    assert fold_literal(Cons("zero")) == numeral(0)
+    assert fold_literal(App(Cons("succ"), numeral(1))) == numeral(2)
+    # only a complete application folds
+    not_yet = app(Cons("succ"), numeral(0), numeral(0))
+    assert fold_literal(not_yet) is not_yet
+    assert fold_literal(App(Cons("succ"), Var("x"))) == App(Cons("succ"), Var("x"))
+    with pytest.raises(ValueError):
+        numeral(-1)
 
 
 def test_numeral_decode_rejects_non_numerals():
@@ -53,7 +63,12 @@ def test_numeral_decode_rejects_non_numerals():
 def test_list_term_nests_on_the_left():
     # cons takes the shorter list first, the new element second
     t = list_term([4, 9])
-    assert t == App(App(Cons("cons"), list_term([4])), numeral(9))
+    assert t == Lit((4, 9))
+    assert fold_literal(App(App(Cons("cons"), list_term([4])), numeral(9))) == t
+    assert fold_literal(Cons("nil")) == list_term([])
+    # the element must be a numeral and the list a list
+    swapped = app(Cons("cons"), numeral(4), numeral(9))
+    assert fold_literal(swapped) is swapped
     assert list_value(t) == (4, 9)
 
 
