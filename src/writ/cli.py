@@ -16,10 +16,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import Base, BaseList, render_semval
+from .engine import Base, render_semval
 from .errors import FuelExhausted, ParseError, WritError
 from .evaluator import Fuel, evaluate, evaluate_with_oracle
-from .harness import VerifyReport, run_corpus, verify_file
+from .harness import run_corpus, verify_file
 from .instantiations import bounded_cost, exact_cost, majorant, modulus
 from .meta import meta_typecheck, render_meta, render_meta_type, translate
 from .parser import parse_term
@@ -275,10 +275,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FuelExhausted as err:
         print(f"writ: {err}", file=sys.stderr)
         return 3
-    except WritError as err:
-        print(f"writ: {err}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as err:
+    except (WritError, ValueError, OSError) as err:
         print(f"writ: {err}", file=sys.stderr)
         return 2
     except RecursionError:

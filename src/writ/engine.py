@@ -8,13 +8,15 @@ the analysis without touching the interpreter. denote runs the top level
 and each lambda body as a loop over its nodes, and builds each literal leaf
 once per call by folding the instantiation's constructors.
 
-pure_denote is the effect-free reference semantics used as an independent
-value oracle.
+pure_denote is the effect-free reference semantics, a value oracle that
+does not go through the translation. Like the exact analyses, it takes its
+constructors from EXACT_CONS and runs the signature's own builtin deltas.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Mapping, Optional, TypeAlias
 
 from .errors import (
@@ -24,13 +26,14 @@ from .errors import (
     ShapeMismatch,
 )
 from . import meta as M
-from .signatures import OracleSpec, _delta_ext
+from .signatures import BUILTINS, OracleSpec
 from .syntax import App, Cons, Func, Lam, Lit, Term, Var
 
 __all__ = [
     "EffectTriple", "COST", "QUERIES", "TRIVIAL",
     "Eff", "Base", "BaseList", "SPair", "SFun", "SemVal", "SemEnv",
     "spair", "as_eff", "as_base", "as_list", "as_pair", "as_fun", "pair_parts",
+    "curried", "EXACT_CONS",
     "render_semval",
     "Instantiation", "denote", "compose", "pure_denote",
 ]
@@ -131,6 +134,30 @@ def pair_parts(v: SemVal) -> tuple[object, SemVal]:
     """Split an effect-value pair into (amount, value)."""
     p = as_pair(v)
     return as_eff(p.fst).amount, p.snd
+
+
+def curried(arity: int, finish: Callable[[tuple], SemVal]) -> SemVal:
+    """A function of arity arguments, taken one at a time: it collects each
+    argument's host value (a natural's int, a sequence's items) and hands the
+    full tuple to finish."""
+
+    def take(args: tuple) -> SemVal:
+        if len(args) == arity:
+            return finish(args)
+        return SFun(lambda a: take(
+            args + (a.value if type(a) is Base else as_list(a).items,)))
+
+    return take(())
+
+
+# the constructors wherever numerals and lists mean themselves: the plain
+# semantics and the analyses whose values are exact
+EXACT_CONS: Mapping[str, SemVal] = MappingProxyType({
+    "zero": Base(0),
+    "succ": SFun(lambda n: Base(as_base(n).value + 1)),
+    "nil": BaseList(()),
+    "cons": SFun(lambda a: SFun(lambda n: BaseList(as_list(a).items + (as_base(n).value,)))),
+})
 
 
 def render_semval(v: SemVal) -> object:
@@ -378,7 +405,10 @@ def pure_denote(
         fn = as_fun(pure_denote(env, t.fun, oracle, search_depth))
         return fn.fn(pure_denote(env, t.arg, oracle, search_depth))
     if isinstance(t, Cons):
-        return _pure_cons(t.name)
+        try:
+            return EXACT_CONS[t.name]
+        except KeyError:
+            raise MissingInterpretation(t.name) from None
     if isinstance(t, Func):
         return _pure_func(t.name, oracle, search_depth)
     if isinstance(t, Lit):
@@ -387,33 +417,10 @@ def pure_denote(
     raise MissingInterpretation(repr(t))
 
 
-def _pure_cons(name: str) -> SemVal:
-    if name == "zero":
-        return Base(0)
-    if name == "succ":
-        return SFun(lambda n: Base(as_base(n).value + 1))
-    if name == "nil":
-        return BaseList(())
-    if name == "cons":
-        return SFun(
-            lambda a: SFun(lambda n: BaseList(as_list(a).items + (as_base(n).value,)))
-        )
-    raise MissingInterpretation(name)
-
-
 def _pure_func(name: str, oracle: Optional[OracleSpec], depth: int) -> SemVal:
-    if name == "add":
-        return _pure_bin(lambda m, n: m + n)
-    if name == "mul":
-        return _pure_bin(lambda m, n: m * n)
-    if name == "lt":
-        return _pure_bin(lambda m, n: 0 if m < n else 1)
-    if name == "len":
-        return SFun(lambda a: Base(len(as_list(a).items)))
-    if name == "ext":
-        return SFun(
-            lambda a: SFun(lambda n: Base(_delta_ext((as_list(a).items, as_base(n).value))))
-        )
+    builtin = BUILTINS.get(name)
+    if builtin is not None:
+        return curried(builtin.arity, lambda args: Base(builtin.delta(args)))
     if name == "alpha":
         if oracle is None:
             raise MissingInterpretation("alpha", "no oracle supplied")
@@ -438,25 +445,7 @@ def _pure_func(name: str, oracle: Optional[OracleSpec], depth: int) -> SemVal:
                 )
             )
         )
-    if name == "bar1":
-        return SFun(
-            lambda w: SFun(
-                lambda g: SFun(
-                    lambda h: SFun(
-                        lambda a: SFun(
-                            lambda b: _pure_bar1(
-                                w, g, h, as_list(a).items, as_base(b).value, depth
-                            )
-                        )
-                    )
-                )
-            )
-        )
     raise MissingInterpretation(name)
-
-
-def _pure_bin(op: Callable[[int, int], int]) -> SemVal:
-    return SFun(lambda m: SFun(lambda n: Base(op(as_base(m).value, as_base(n).value))))
 
 
 def _pure_bar(
@@ -464,18 +453,11 @@ def _pure_bar(
 ) -> SemVal:
     if depth <= 0:
         raise FuelExhausted(_SEARCH_DEPTH)
-    padded = SFun(lambda i: Base(_delta_ext((items, as_base(i).value))))
+    ext = BUILTINS["ext"].delta
+    padded = SFun(lambda i: Base(ext((items, as_base(i).value))))
     settled = as_base(as_fun(w).fn(padded)).value
     if settled < len(items):
         return as_fun(g).fn(BaseList(items))
     cont = SFun(lambda x: _pure_bar(w, g, h, items + (as_base(x).value,), depth - 1))
     return as_fun(as_fun(h).fn(BaseList(items))).fn(cont)
 
-
-def _pure_bar1(
-    w: SemVal, g: SemVal, h: SemVal, items: tuple[int, ...], b: int, depth: int
-) -> SemVal:
-    if b == 0:
-        return as_fun(g).fn(BaseList(items))
-    cont = SFun(lambda x: _pure_bar(w, g, h, items + (as_base(x).value,), depth - 1))
-    return as_fun(as_fun(h).fn(BaseList(items))).fn(cont)

@@ -12,7 +12,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .engine import (
     Base,
@@ -100,18 +100,10 @@ class VerifyReport:
             "analysis": self.analysis,
             "status": self.status,
             "details": self.details,
-            "evidence": {k: _jsonable(v) for k, v in self.evidence.items()},
+            "evidence": dict(self.evidence),
             "trials": self.trials,
             "seed": self.seed,
         }
-
-
-def _jsonable(v: object) -> object:
-    if isinstance(v, tuple):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, list):
-        return [_jsonable(x) for x in v]
-    return v
 
 
 def _fail(

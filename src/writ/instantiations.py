@@ -11,6 +11,14 @@
 Every recursor of every analysis is one combinator, recursor: a loop that
 climbs from the base case and charges each unfold under the analysis's
 effect triple. It unfolds at most the analysis's fuel in stages per call.
+
+Every builtin of every analysis is the signature's own, lifted by
+lift_builtin: once its last argument arrives, it runs the builtin's delta
+on the arguments' host values and charges one step under the analysis's
+effect triple. So the machine and the analyses share one definition of
+each builtin's arithmetic. Only the analyses whose values are not exact
+replace a delta: under cost_bounded every size is one, and majorizability's
+lt is the constant one.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from .errors import FuelExhausted, ShapeMismatch, TypeMismatch, UnsupportedSymbo
 from .engine import (
     _SEARCH_DEPTH,
     COST,
+    EXACT_CONS,
     QUERIES,
     TRIVIAL,
     Base,
@@ -35,6 +44,7 @@ from .engine import (
     as_fun,
     as_list,
     compose,
+    curried,
     denote,
     pair_parts,
     spair,
@@ -42,7 +52,7 @@ from .engine import (
 from .evaluator import DEFAULT_FUEL, Fuel
 from .meta import translate
 from .signatures import (
-    OracleSpec, Signature, _delta_ext, signature_for, system_t, system_t_list,
+    BUILTINS, Builtin, OracleSpec, Signature, signature_for, system_t, system_t_list,
 )
 from .syntax import (
     NAT,
@@ -58,7 +68,7 @@ __all__ = [
     "ModulusReport", "CostReport", "EXACT", "BOUND",
     "continuity_inst", "cost_exact_inst", "cost_bounded_inst", "majorizability_inst",
     "modulus", "exact_cost", "bounded_cost", "majorant",
-    "spector_closed_form", "semantic_join", "recursor",
+    "spector_closed_form", "semantic_join", "recursor", "lift_builtin",
 ]
 
 EXACT = "exact"
@@ -83,15 +93,29 @@ class CostReport:
 
 # ---------------------------------------------------------------- shared pieces
 
-def _exact_cons() -> dict[str, SemVal]:
-    return {
-        "zero": Base(0),
-        "succ": SFun(lambda n: Base(as_base(n).value + 1)),
-        "nil": BaseList(()),
-        "cons": SFun(
-            lambda a: SFun(lambda n: BaseList(as_list(a).items + (as_base(n).value,)))
-        ),
-    }
+def lift_builtin(
+    builtin: Builtin,
+    eff: EffectTriple,
+    delta: Optional[Callable[[tuple], int]] = None,
+) -> SemVal:
+    """A builtin of the signature as an interpretation under eff.
+
+    Once its last argument arrives, it runs delta (the builtin's own unless
+    one is given) on the arguments' host values and charges the one step
+    its unfold takes, eff.inc(eff.eps).
+    """
+    run = builtin.delta if delta is None else delta
+    step = eff.inc(eff.eps)
+    return curried(builtin.arity, lambda args: spair(step, Base(run(args))))
+
+
+def _lifted(eff: EffectTriple, names: Iterable[str], delta=None) -> dict[str, SemVal]:
+    return {name: lift_builtin(BUILTINS[name], eff, delta) for name in names}
+
+
+def _one(args: tuple) -> int:
+    # the delta of an analysis that reads every result as one
+    return 1
 
 
 def recursor(
@@ -143,15 +167,6 @@ def _fold_indices(xs: SemVal) -> tuple[int, ...]:
     return as_list(xs).items
 
 
-def _charged_bin(op: Callable[[int, int], int], charge: object = 1) -> SemVal:
-    # builtins charge their single step when the last argument lands
-    return SFun(
-        lambda m: SFun(
-            lambda n: spair(charge, Base(op(as_base(m).value, as_base(n).value)))
-        )
-    )
-
-
 # ---------------------------------------------------------------- continuity
 
 def continuity_inst(g: OracleSpec, fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
@@ -164,7 +179,7 @@ def continuity_inst(g: OracleSpec, fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
     return Instantiation(
         name="continuity",
         effect=QUERIES,
-        cons_interp={"zero": Base(0), "succ": _exact_cons()["succ"]},
+        cons_interp=EXACT_CONS,
         func_interp={"alpha": SFun(alpha)},
         func_families={"rec": recursor(QUERIES, _rec_indices, fuel)},
     )
@@ -172,40 +187,23 @@ def continuity_inst(g: OracleSpec, fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
 
 # ---------------------------------------------------------------- exact cost
 
-def _exact_bar(fuel: Fuel) -> tuple[SemVal, SemVal]:
-    """Step-exact denotations of the search combinator and its decision stage.
+def _exact_bar(fuel: Fuel, ext: SemVal) -> SemVal:
+    """Step-exact denotation of the search combinator, given ext's.
 
     Each recursive extension mirrors the rewrite trace: four fixed steps for
     the unfold, the comparison, the lookup closure and the length, plus the
     functional's own work, plus whichever branch runs.
     """
 
-    def probe(items: tuple[int, ...]) -> SemVal:
-        return SFun(lambda i: spair(1, Base(_delta_ext((items, as_base(i).value)))))
-
     def run(w: SemVal, g: SemVal, h: SemVal, items: tuple[int, ...], depth: int) -> SemVal:
         if depth <= 0:
             raise FuelExhausted(fuel.max_steps)
-        c_w, decided = pair_parts(as_fun(w).fn(probe(items)))
+        c_w, decided = pair_parts(as_fun(w).fn(as_fun(ext).fn(BaseList(items))))
         lead = 4 + c_w
         if as_base(decided).value < len(items):
             c_g, out = pair_parts(as_fun(g).fn(BaseList(items)))
             return spair(lead + c_g, out)
-        c_h, c_call, out = _extend(w, g, h, items, depth)
-        return spair(lead + c_h + c_call, out)
 
-    def run1(
-        w: SemVal, g: SemVal, h: SemVal, items: tuple[int, ...], m: int, depth: int
-    ) -> SemVal:
-        if m == 0:
-            c_g, out = pair_parts(as_fun(g).fn(BaseList(items)))
-            return spair(1 + c_g, out)
-        c_h, c_call, out = _extend(w, g, h, items, depth)
-        return spair(1 + c_h + c_call, out)
-
-    def _extend(
-        w: SemVal, g: SemVal, h: SemVal, items: tuple[int, ...], depth: int
-    ) -> tuple[int, int, SemVal]:
         # continuing costs one beta step before the next search round
         def cont(x: SemVal) -> SemVal:
             c_next, out = pair_parts(run(w, g, h, items + (as_base(x).value,), depth - 1))
@@ -213,52 +211,26 @@ def _exact_bar(fuel: Fuel) -> tuple[SemVal, SemVal]:
 
         c_h, applied = pair_parts(as_fun(h).fn(BaseList(items)))
         c_call, out = pair_parts(as_fun(applied).fn(SFun(cont)))
-        return c_h, c_call, out
+        return spair(lead + c_h + c_call, out)
 
     depth0 = min(fuel.max_steps, _SEARCH_DEPTH)
-    bar = SFun(
+    return SFun(
         lambda w: SFun(
             lambda g: SFun(
                 lambda h: SFun(lambda a: run(w, g, h, as_list(a).items, depth0))
             )
         )
     )
-    bar1 = SFun(
-        lambda w: SFun(
-            lambda g: SFun(
-                lambda h: SFun(
-                    lambda a: SFun(
-                        lambda m: run1(
-                            w, g, h, as_list(a).items, as_base(m).value, depth0
-                        )
-                    )
-                )
-            )
-        )
-    )
-    return bar, bar1
 
 
 def cost_exact_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
     """Step-count effects; predictions agree with the evaluator exactly."""
-    bar, bar1 = _exact_bar(fuel)
+    builtins = _lifted(COST, ("add", "mul", "lt", "len", "ext"))
     return Instantiation(
         name="cost_exact",
         effect=COST,
-        cons_interp=_exact_cons(),
-        func_interp={
-            "add": _charged_bin(lambda m, n: m + n),
-            "mul": _charged_bin(lambda m, n: m * n),
-            "lt": _charged_bin(lambda m, n: 0 if m < n else 1),
-            "len": SFun(lambda a: spair(1, Base(len(as_list(a).items)))),
-            "ext": SFun(
-                lambda a: SFun(
-                    lambda n: spair(1, Base(_delta_ext((as_list(a).items, as_base(n).value))))
-                )
-            ),
-            "bar": bar,
-            "bar1": bar1,
-        },
+        cons_interp=EXACT_CONS,
+        func_interp={**builtins, "bar": _exact_bar(fuel, builtins["ext"])},
         func_families={
             "rec": recursor(COST, _rec_indices, fuel),
             "fold": recursor(COST, _fold_indices, fuel),
@@ -314,12 +286,7 @@ def cost_bounded_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
             "nil": Base(0),
             "cons": SFun(lambda a: SFun(lambda n: Base(as_base(a).value + 1))),
         },
-        func_interp={
-            "add": _charged_bin(lambda m, n: 1),
-            "mul": _charged_bin(lambda m, n: 1),
-            "lt": _charged_bin(lambda m, n: 1),
-            "len": SFun(lambda m: spair(1, Base(1))),
-        },
+        func_interp=_lifted(COST, ("add", "mul", "lt", "len"), _one),
         func_families={"fold": recursor(COST, _size_indices, fuel, _join_max)},
     )
 
@@ -339,13 +306,12 @@ def majorizability_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
     return Instantiation(
         name="majorizability",
         effect=TRIVIAL,
-        cons_interp={"zero": Base(0), "succ": _exact_cons()["succ"]},
+        cons_interp={name: EXACT_CONS[name] for name in ("zero", "succ")},
         func_interp={
-            "add": _charged_bin(lambda m, n: m + n, None),
-            "mul": _charged_bin(lambda m, n: m * n, None),
+            **_lifted(TRIVIAL, ("add", "mul")),
             # comparisons only ever produce 0 or 1; the constant covers both,
             # whereas the exact comparison is not monotone and so no majorant
-            "lt": _charged_bin(lambda m, n: 1, None),
+            **_lifted(TRIVIAL, ("lt",), _one),
         },
         func_families={
             "rec": recursor(TRIVIAL, _rec_indices, fuel, _join_flat, envelope=True)

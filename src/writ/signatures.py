@@ -13,6 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Any, Callable, Mapping, Sequence, Union
 
 from .errors import DuplicateSymbol, UndeclaredSymbol
@@ -38,7 +39,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "Rule", "Builtin", "ConsDecl", "FuncDecl", "Signature",
+    "Rule", "Builtin", "ConsDecl", "FuncDecl", "Signature", "BUILTINS",
     "system_t", "system_t_list", "bar_rec", "with_oracle",
     "OracleSpec", "Identity", "Constant", "Table",
     "oracle_from_json", "oracle_from_string", "oracle_label",
@@ -235,6 +236,19 @@ def _delta_ext(args: Sequence[Any]) -> int:
     return items[n] if n < len(items) else 0
 
 
+# the builtins of the shipped signatures, by name: the machine runs these
+# deltas, and every analysis lifts the same ones into its interpretations
+BUILTINS: Mapping[str, Builtin] = MappingProxyType({
+    b.name: b
+    for b in (
+        Builtin("add", 2, _delta_add),
+        Builtin("mul", 2, _delta_mul),
+        Builtin("lt", 2, _delta_lt),
+        Builtin("len", 1, _delta_len),
+        Builtin("ext", 2, _delta_ext),
+    )
+})
+
 _NAT2 = Arrow(NAT, Arrow(NAT, NAT))
 
 
@@ -267,10 +281,10 @@ def system_t_list() -> Signature:
             "cons": ConsDecl(("List", "Nat"), "List"),
         },
         functions={
-            "add": FuncDecl(_NAT2, Builtin("add", 2, _delta_add)),
-            "mul": FuncDecl(_NAT2, Builtin("mul", 2, _delta_mul)),
-            "lt": FuncDecl(_NAT2, Builtin("lt", 2, _delta_lt)),
-            "len": FuncDecl(Arrow(LIST, NAT), Builtin("len", 1, _delta_len)),
+            "add": FuncDecl(_NAT2, BUILTINS["add"]),
+            "mul": FuncDecl(_NAT2, BUILTINS["mul"]),
+            "lt": FuncDecl(_NAT2, BUILTINS["lt"]),
+            "len": FuncDecl(Arrow(LIST, NAT), BUILTINS["len"]),
         },
         families={"rec", "fold"},
     )
@@ -321,7 +335,7 @@ def bar_rec() -> Signature:
     functions = dict(base._funcs)
     functions.update(
         {
-            "ext": FuncDecl(Arrow(LIST, Arrow(NAT, NAT)), Builtin("ext", 2, _delta_ext)),
+            "ext": FuncDecl(Arrow(LIST, Arrow(NAT, NAT)), BUILTINS["ext"]),
             "bar": FuncDecl(bar_ty, (bar_rule,)),
             "bar1": FuncDecl(bar1_ty, bar1_rules),
         }

@@ -294,11 +294,6 @@ def recursion_limit(limit):
         sys.setrecursionlimit(old)
 
 
-# These three tests keep the names they had when `cost`, `bound`, `majorize`
-# and `modulus`, and any term too deep for the calling thread, ran on a
-# big-stack worker thread; every command now runs in place and starts none.
-
-
 def test_commands_that_fit_run_on_the_calling_thread(wt, capsys, threads):
     rec3 = wt("rec3.wt", REC3)
     ann = wt("ann.wt", f"-- analyses: cost,majorant\n{REC3}")
@@ -312,7 +307,7 @@ def test_commands_that_fit_run_on_the_calling_thread(wt, capsys, threads):
     assert threads == []
 
 
-def test_unfolding_analyses_start_on_the_worker(wt, capsys, threads):
+def test_unfolding_analyses_run_on_the_calling_thread(wt, capsys, threads):
     rec3 = wt("rec3.wt", REC3)
     oracle3 = wt("oracle3.wt", f"fn f:Nat->Nat => {REC3.replace('succ p', 'succ (f p)')}")
     with recursion_limit(12_345):
@@ -324,7 +319,7 @@ def test_unfolding_analyses_start_on_the_worker(wt, capsys, threads):
     assert threads == []
 
 
-def test_a_term_too_deep_for_the_calling_thread_runs_again_on_the_worker(wt, capsys, threads):
+def test_a_long_recursion_runs_on_the_calling_thread(wt, capsys, threads):
     term = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3000"
     deep = wt("deep.wt", term)
     with recursion_limit(12_345):

@@ -39,6 +39,7 @@ from writ import (
     Func,
     Identity,
     Lam,
+    MissingInterpretation,
     PCons,
     PVar,
     Rule,
@@ -48,6 +49,7 @@ from writ import (
     UnsupportedSymbol,
     Var,
     as_base,
+    bar_rec,
     bounded_cost,
     evaluate,
     exact_cost,
@@ -61,7 +63,6 @@ from writ import (
     render_term,
     signature_for,
     system_t,
-    system_t_list,
     typecheck,
     verify_modulus,
     with_oracle,
@@ -195,19 +196,21 @@ def _capped(delta):
 
 
 def _generated_signature(lists: bool) -> Signature:
-    """system_t, or system_t_list with builtins that give up past _CAP.
+    """system_t, or system_t_list plus ext, with builtins that give up past
+    _CAP.
 
     Without builtins a value grows by one constructor at a time, which the
     fuel bounds; add and mul double and square it with one step each."""
     if not lists:
         return system_t()
-    base = system_t_list()
+    base = bar_rec()
     functions = {}
-    for name in ("add", "mul", "lt", "len"):
+    for name in ("add", "mul", "lt", "len", "ext"):
         decl = base.func_decl(name)
         functions[name] = FuncDecl(decl.ty, replace(decl.impl, delta=_capped(decl.impl.delta)))
     constructors = {name: base.cons_decl(name) for name in ("zero", "succ", "nil", "cons")}
-    return Signature(base.name, base.datatypes, constructors, functions, {"rec", "fold"})
+    return Signature("system_t_list+ext", base.datatypes, constructors, functions,
+                     {"rec", "fold"})
 
 
 # low fuel keeps the quadratic reference fast, and bounds how far a closure
@@ -268,6 +271,16 @@ def assert_costs_agree(sig, term, ty, res):
     assert bound.predicted >= res.steps, render_term(term)
 
 
+def assert_majorized(term, res):
+    """The majorant is at least the machine's value, wherever majorizability
+    interprets every symbol of the term (no list constructor, fold or ext)."""
+    try:
+        maj = majorant(term)
+    except MissingInterpretation:
+        return
+    assert as_base(maj).value >= numeral_value(res.value), render_term(term)
+
+
 @_GEN
 @given(st.sampled_from([NAT, LIST, N2N, NAT2]).flatmap(
     lambda ty: st.tuples(st.just(ty), closed_terms(ty, lists=True))))
@@ -275,8 +288,11 @@ def test_generated_list_terms_analyses_agree(typed):
     ty, term = typed
     sig = _generated_signature(lists=True)
     res = _finished(sig, term)
-    if res is not None:
-        assert_costs_agree(sig, term, ty, res)
+    if res is None:
+        return
+    assert_costs_agree(sig, term, ty, res)
+    if ty == NAT:
+        assert_majorized(term, res)
 
 
 @_GEN
@@ -291,6 +307,17 @@ def test_generated_t_terms_analyses_agree(typed):
     assert_costs_agree(sig, term, ty, res)
     if ty == NAT:
         assert as_base(majorant(term)).value >= numeral_value(res.value), render_term(term)
+
+
+@_GEN
+@given(closed_terms(NAT, lists=False, arithmetic=True))
+def test_generated_arithmetic_terms_analyses_agree(term):
+    sig = _generated_signature(lists=True)
+    res = _finished(sig, term)
+    if res is None:
+        return
+    assert_costs_agree(sig, term, NAT, res)
+    assert_majorized(term, res)
 
 
 @_GEN

@@ -12,7 +12,9 @@ from writ import (
     Constant,
     Fuel,
     FuelExhausted,
+    Func,
     Identity,
+    MissingInterpretation,
     ModulusReport,
     SFun,
     ShapeMismatch,
@@ -20,6 +22,8 @@ from writ import (
     TypeMismatch,
     UndeclaredSymbol,
     UnsupportedSymbol,
+    WritError,
+    app,
     as_base,
     as_fun,
     bar_rec,
@@ -195,6 +199,20 @@ def test_exact_cost_deep_numeral_is_linear():
     rep = exact_cost(numeral(2000))
     assert rep.predicted == 0
     assert as_base(rep.semantic).value == 2000
+
+
+def test_the_second_search_stage_runs_only_inside_bar():
+    # bar1 is the stage bar's rewrite rule calls; the machine still runs it,
+    # but the analyses interpret bar whole and give bar1 no meaning of its own
+    term = app(Func("bar1"), *map(parse_term, (
+        "fn f:Nat->Nat => 0", "fn xs:List => len xs",
+        "fn xs:List => fn k:Nat->Nat => k 0", "[4]", "0")))
+    assert numeral_value(evaluate(bar_rec(), term).value) == 1
+    assert issubclass(MissingInterpretation, WritError)
+    with pytest.raises(MissingInterpretation):
+        exact_cost(term)
+    with pytest.raises(MissingInterpretation):
+        pure_denote({}, term)
 
 
 # ---------------------------------------------------------------- bounded cost
