@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .engine import Base, render_semval
+from .engine import render_semval
 from .errors import FuelExhausted, ParseError, WritError
 from .evaluator import Fuel, evaluate, evaluate_with_oracle
 from .harness import run_corpus, verify_file
@@ -129,13 +129,18 @@ def _read_term(config: CliConfig) -> Term:
     return parse_term(config.path.read_text(encoding="utf-8"))
 
 
+def _base_signature(config: CliConfig, term: Term) -> Signature:
+    """The --sig override, or else the smallest signature covering term."""
+    return _SIGS[config.sig_name]() if config.sig_name else signature_for(term)
+
+
 def _typing_signature(config: CliConfig, term: Term) -> Signature:
     """Signature for typing/translation; alpha is declared when it occurs.
 
     The oracle's values never matter for typing, so identity stands in when
     none was given.
     """
-    base = _SIGS[config.sig_name]() if config.sig_name else signature_for(term)
+    base = _base_signature(config, term)
     if "alpha" in symbols(term):
         base = with_oracle(base, config.oracle or Identity())
     return base
@@ -152,7 +157,7 @@ def _run(config: CliConfig) -> int:
         return 0
 
     if config.command == "eval":
-        base = _SIGS[config.sig_name]() if config.sig_name else signature_for(term)
+        base = _base_signature(config, term)
         if config.oracle is not None:
             res = evaluate_with_oracle(base, term, config.oracle, config.fuel)
             obj = {
@@ -191,8 +196,7 @@ def _run(config: CliConfig) -> int:
         return 0
 
     if config.command == "cost":
-        sig = _SIGS[config.sig_name]() if config.sig_name else None
-        rep = exact_cost(term, sig, config.fuel)
+        rep = exact_cost(term, _base_signature(config, term), config.fuel)
         obj = {
             "predicted": rep.predicted,
             "semantic": render_semval(rep.semantic),
@@ -214,13 +218,8 @@ def _run(config: CliConfig) -> int:
         return 0
 
     if config.command == "majorize":
-        maj = majorant(term, config.fuel)
-        if isinstance(maj, Base):
-            obj = {"majorant": maj.value}
-            _emit(config, obj, [f"majorant = {maj.value}"])
-        else:
-            obj = {"majorant": render_semval(maj)}
-            _emit(config, obj, [f"majorant = {obj['majorant']}"])
+        obj = {"majorant": render_semval(majorant(term, config.fuel))}
+        _emit(config, obj, [f"majorant = {obj['majorant']}"])
         return 0
 
     raise ParseError(f"unknown command {config.command!r}")
@@ -288,3 +287,7 @@ def main_entry() -> None:
     if hasattr(signal, "SIGPIPE"):
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -1,7 +1,8 @@
 """Semantic domains, the metalanguage interpreter, and the plain semantics.
 
 The metalanguage is interpreted over SemVal: naturals, finite numeral
-sequences, pairs, host functions, and effect annotations drawn from one
+sequences (the machine's own BaseList, which the exact cons extends in
+constant time), pairs, host functions, and effect annotations drawn from one
 EffectTriple (an empty effect, a one-step extension, and a three-way
 combination). Swapping the triple and the symbol interpretations changes
 the analysis without touching the interpreter. denote runs the top level
@@ -26,7 +27,7 @@ from .errors import (
     ShapeMismatch,
 )
 from . import meta as M
-from .signatures import BUILTINS, OracleSpec
+from .signatures import BUILTINS, BaseList, OracleSpec
 from .syntax import App, Cons, Func, Lam, Lit, Term, Var
 
 __all__ = [
@@ -69,13 +70,6 @@ class Base:
     """A natural number (or a size, under size-based analyses)."""
 
     value: int
-
-
-@dataclass(frozen=True)
-class BaseList:
-    """A finite sequence of naturals."""
-
-    items: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -138,14 +132,14 @@ def pair_parts(v: SemVal) -> tuple[object, SemVal]:
 
 def curried(arity: int, finish: Callable[[tuple], SemVal]) -> SemVal:
     """A function of arity arguments, taken one at a time: it collects each
-    argument's host value (a natural's int, a sequence's items) and hands the
+    argument's host value (a natural's int, a sequence itself) and hands the
     full tuple to finish."""
 
     def take(args: tuple) -> SemVal:
         if len(args) == arity:
             return finish(args)
         return SFun(lambda a: take(
-            args + (a.value if type(a) is Base else as_list(a).items,)))
+            args + (a.value if type(a) is Base else as_list(a),)))
 
     return take(())
 
@@ -155,8 +149,8 @@ def curried(arity: int, finish: Callable[[tuple], SemVal]) -> SemVal:
 EXACT_CONS: Mapping[str, SemVal] = MappingProxyType({
     "zero": Base(0),
     "succ": SFun(lambda n: Base(as_base(n).value + 1)),
-    "nil": BaseList(()),
-    "cons": SFun(lambda a: SFun(lambda n: BaseList(as_list(a).items + (as_base(n).value,)))),
+    "nil": BaseList(),
+    "cons": SFun(lambda a: SFun(lambda n: as_list(a).snoc(as_base(n).value))),
 })
 
 
@@ -436,28 +430,18 @@ def _pure_func(name: str, oracle: Optional[OracleSpec], depth: int) -> SemVal:
 
         return SFun(lambda a: SFun(lambda f: SFun(lambda arg: stages(a, f, arg))))
     if name == "bar":
-        return SFun(
-            lambda w: SFun(
-                lambda g: SFun(
-                    lambda h: SFun(
-                        lambda a: _pure_bar(w, g, h, as_list(a).items, depth)
-                    )
-                )
-            )
-        )
+        return SFun(lambda w: SFun(lambda g: SFun(lambda h: SFun(
+            lambda a: _pure_bar(w, g, h, as_list(a), depth)))))
     raise MissingInterpretation(name)
 
 
-def _pure_bar(
-    w: SemVal, g: SemVal, h: SemVal, items: tuple[int, ...], depth: int
-) -> SemVal:
+def _pure_bar(w: SemVal, g: SemVal, h: SemVal, xs: BaseList, depth: int) -> SemVal:
     if depth <= 0:
         raise FuelExhausted(_SEARCH_DEPTH)
     ext = BUILTINS["ext"].delta
-    padded = SFun(lambda i: Base(ext((items, as_base(i).value))))
+    padded = SFun(lambda i: Base(ext((xs, as_base(i).value))))
     settled = as_base(as_fun(w).fn(padded)).value
-    if settled < len(items):
-        return as_fun(g).fn(BaseList(items))
-    cont = SFun(lambda x: _pure_bar(w, g, h, items + (as_base(x).value,), depth - 1))
-    return as_fun(as_fun(h).fn(BaseList(items))).fn(cont)
-
+    if settled < len(xs):
+        return as_fun(g).fn(xs)
+    cont = SFun(lambda x: _pure_bar(w, g, h, xs.snoc(as_base(x).value), depth - 1))
+    return as_fun(as_fun(h).fn(xs)).fn(cont)

@@ -4,9 +4,9 @@ Terms run on an environment machine. A closure is a lambda plus the values
 in scope where it was made, and pending work sits on an explicit
 continuation stack, so evaluation never recurses on the host stack and each
 step costs time independent of the size of the values around it. Numerals
-are host ints, lists are host sequences, and a partial application is its
-head plus the arguments so far; values become terms only once, for the
-result.
+are host ints, lists are signatures.BaseList (so cons and the split of a
+cons pattern take constant time), and a partial application is its head
+plus the arguments so far; values become terms only once, for the result.
 
 Only two things cost a step: a beta reduction and a rule/builtin unfold.
 The function of an application is evaluated before its argument, so steps
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import FuelExhausted, StuckTerm
-from .signatures import Builtin, OracleSpec, Signature, with_oracle
+from .signatures import BaseList, Builtin, OracleSpec, Signature, with_oracle
 from .syntax import (
     App,
     Cons,
@@ -66,38 +66,6 @@ class EvalResult:
 
 
 # ---------------------------------------------------------------- values
-
-class _Seq:
-    """A list value: the first n items of a buffer that only ever grows.
-
-    Consing onto a view that ends where its buffer ends appends in place;
-    every other view keeps seeing only its own prefix, so buffers are shared
-    freely and cons, and the split of a cons pattern, take constant time.
-    """
-
-    __slots__ = ("buf", "n")
-
-    def __init__(self, buf: list[int], n: int):
-        self.buf = buf
-        self.n = n
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __getitem__(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return self.buf[i]
-
-    def snoc(self, z: int) -> "_Seq":
-        buf, n = self.buf, self.n
-        if len(buf) == n:
-            buf.append(z)
-        elif buf[n] != z:
-            buf = buf[:n]
-            buf.append(z)
-        return _Seq(buf, n + 1)
-
 
 class _Head:
     """A constructor or function symbol, resolved once per run.
@@ -154,7 +122,7 @@ def _cons_delta(head: _Head):
     if name == "succ":
         return lambda args: args[0] + 1
     if name == "nil":
-        return lambda args: _Seq([], 0)
+        return lambda args: BaseList()
     if name == "cons":
         return lambda args: args[0].snoc(args[1])
     return lambda args: _PApp(head, args)
@@ -179,11 +147,11 @@ def _bind(p: Pattern, v, out: list) -> bool:
         if p.cons == "zero":
             return v == 0
         return v > 0 and _bind(p.args[0], v - 1, out)
-    if type(v) is _Seq:
+    if type(v) is BaseList:
         n = v.n
         if p.cons == "nil":
             return n == 0
-        return (n > 0 and _bind(p.args[0], _Seq(v.buf, n - 1), out)
+        return (n > 0 and _bind(p.args[0], v.init(), out)
                 and _bind(p.args[1], v.buf[n - 1], out))
     return (v.head.term.name == p.cons
             and all(_bind(q, a, out) for q, a in zip(p.args, v.args)))
@@ -193,8 +161,8 @@ def _read_back(v) -> Term:
     """The term a machine value stands for."""
     if type(v) is int:
         return numeral(v)
-    if type(v) is _Seq:
-        return list_term(v.buf[:v.n])
+    if type(v) is BaseList:
+        return list_term(v.items)
     if type(v) is _PApp:
         return app(v.head.term, *(_read_back(a) for a in v.args))
     _, _, lam, names = v.code
@@ -228,7 +196,7 @@ class _Machine:
             return (_VAR, len(names) - 1 - names[::-1].index(t.name))
         if isinstance(t, Lit):
             v = t.value
-            return (_CONST, v if type(v) is int else _Seq(list(v), len(v)))
+            return (_CONST, v if type(v) is int else BaseList(v))
         return (_CONST, self.symbol(t))
 
     def symbol(self, t: Term):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -95,15 +95,7 @@ class VerifyReport:
         return self.status == PASS
 
     def to_dict(self) -> dict:
-        return {
-            "term_id": self.term_id,
-            "analysis": self.analysis,
-            "status": self.status,
-            "details": self.details,
-            "evidence": dict(self.evidence),
-            "trials": self.trials,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _fail(

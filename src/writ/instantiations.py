@@ -195,32 +195,27 @@ def _exact_bar(fuel: Fuel, ext: SemVal) -> SemVal:
     functional's own work, plus whichever branch runs.
     """
 
-    def run(w: SemVal, g: SemVal, h: SemVal, items: tuple[int, ...], depth: int) -> SemVal:
+    def run(w: SemVal, g: SemVal, h: SemVal, xs: BaseList, depth: int) -> SemVal:
         if depth <= 0:
             raise FuelExhausted(fuel.max_steps)
-        c_w, decided = pair_parts(as_fun(w).fn(as_fun(ext).fn(BaseList(items))))
+        c_w, decided = pair_parts(as_fun(w).fn(as_fun(ext).fn(xs)))
         lead = 4 + c_w
-        if as_base(decided).value < len(items):
-            c_g, out = pair_parts(as_fun(g).fn(BaseList(items)))
+        if as_base(decided).value < len(xs):
+            c_g, out = pair_parts(as_fun(g).fn(xs))
             return spair(lead + c_g, out)
 
         # continuing costs one beta step before the next search round
         def cont(x: SemVal) -> SemVal:
-            c_next, out = pair_parts(run(w, g, h, items + (as_base(x).value,), depth - 1))
+            c_next, out = pair_parts(run(w, g, h, xs.snoc(as_base(x).value), depth - 1))
             return spair(1 + c_next, out)
 
-        c_h, applied = pair_parts(as_fun(h).fn(BaseList(items)))
+        c_h, applied = pair_parts(as_fun(h).fn(xs))
         c_call, out = pair_parts(as_fun(applied).fn(SFun(cont)))
         return spair(lead + c_h + c_call, out)
 
     depth0 = min(fuel.max_steps, _SEARCH_DEPTH)
-    return SFun(
-        lambda w: SFun(
-            lambda g: SFun(
-                lambda h: SFun(lambda a: run(w, g, h, as_list(a).items, depth0))
-            )
-        )
-    )
+    return SFun(lambda w: SFun(lambda g: SFun(lambda h: SFun(
+        lambda a: run(w, g, h, as_list(a), depth0)))))
 
 
 def cost_exact_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:

@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Any, Callable, Mapping, Sequence, Union
+from typing import Any, Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import DuplicateSymbol, UndeclaredSymbol
 from .parser import parse_type
@@ -39,7 +39,7 @@ from .syntax import (
 )
 
 __all__ = [
-    "Rule", "Builtin", "ConsDecl", "FuncDecl", "Signature", "BUILTINS",
+    "Rule", "Builtin", "ConsDecl", "FuncDecl", "Signature", "BaseList", "BUILTINS",
     "system_t", "system_t_list", "bar_rec", "with_oracle",
     "OracleSpec", "Identity", "Constant", "Table",
     "oracle_from_json", "oracle_from_string", "oracle_label",
@@ -63,9 +63,9 @@ class Builtin:
     """A schematic rule family computed on the host.
 
     delta maps a full vector of argument values to the result value, both
-    in host form: a numeral is an int and a list literal a sequence of ints.
-    The unfold costs exactly one step, like any rule. Oracle builtins
-    additionally log their numeric argument when unfolded.
+    in host form, whichever layer calls it: a numeral is an int and a list
+    a BaseList. The unfold costs exactly one step, like any rule. Oracle
+    builtins additionally log their numeric argument when unfolded.
     """
 
     name: str
@@ -213,6 +213,57 @@ def _fold_decl(index: Ty) -> FuncDecl:
 
 # ---------------------------------------------------------------- builtins
 
+class BaseList:
+    """A finite sequence of naturals, the one list value of the machine and of
+    every analysis: the first n items of a buffer that only ever grows. Views
+    share buffers freely, so snoc and dropping the last item take constant
+    time, and no snoc changes what an existing view sees."""
+
+    __slots__ = ("buf", "n")
+
+    def __init__(self, items: Iterable[int] = ()):
+        self.buf = list(items)
+        self.n = len(self.buf)
+
+    @property
+    def items(self) -> tuple[int, ...]:
+        return tuple(self.buf[:self.n])
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __getitem__(self, i: int) -> int:
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        return self.buf[i]
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, BaseList) and self.items == other.items
+
+    def __repr__(self) -> str:
+        return f"BaseList({self.items!r})"
+
+    def snoc(self, z: int) -> "BaseList":
+        """The list extended by z on the right, in place where it can be."""
+        buf, n = self.buf, self.n
+        if n and len(buf) == n:
+            buf.append(z)
+        elif not n or buf[n] != z:
+            # an empty list may be a shared constant: never grow its buffer
+            buf = buf[:n] + [z]
+        return _view(buf, n + 1)
+
+    def init(self) -> "BaseList":
+        """The list without its last item, on the same buffer."""
+        return _view(self.buf, self.n - 1)
+
+
+def _view(buf: list[int], n: int) -> BaseList:
+    v = object.__new__(BaseList)
+    v.buf, v.n = buf, n
+    return v
+
+
 def _delta_add(args: Sequence[int]) -> int:
     return args[0] + args[1]
 
@@ -226,7 +277,7 @@ def _delta_lt(args: Sequence[int]) -> int:
     return 0 if args[0] < args[1] else 1
 
 
-def _delta_len(args: Sequence[Sequence[int]]) -> int:
+def _delta_len(args: Sequence[BaseList]) -> int:
     return len(args[0])
 
 

@@ -2,6 +2,8 @@
 
 import contextlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -240,6 +242,17 @@ def test_main_entry_raises_system_exit(wt, capsys):
     finally:
         sys.argv = old
     capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_command_line():
+    root = Path(__file__).resolve().parent.parent
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    for module in ("writ", "writ.cli"):
+        done = subprocess.run(
+            [sys.executable, "-m", module, "check", str(root / "corpus" / "nat_rec_count.wt")],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, '{"type":"Nat"}\n', ""), module
 
 
 def test_eval_handles_results_deeper_than_the_recursion_limit(wt, capsys):

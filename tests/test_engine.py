@@ -45,6 +45,7 @@ from writ import (
     translate,
     with_oracle,
 )
+from writ.engine import EXACT_CONS
 from writ.syntax import Lit, literal_spine
 
 SEARCH = f"({SEARCH_TEMPLATE})"
@@ -291,3 +292,17 @@ def test_pure_denote_search_depth_guard():
     )
     with pytest.raises(FuelExhausted):
         pure_denote({}, parse_term(src), search_depth=50)
+
+
+def test_exact_cons_extends_the_list_in_place():
+    xs = BaseList([4, 5])
+    ys = as_fun(as_fun(EXACT_CONS["cons"]).fn(xs)).fn(Base(6))
+    assert ys == BaseList([4, 5, 6]) and ys.buf is xs.buf
+
+
+def test_building_a_list_leaves_the_shared_empty_list_empty():
+    t = parse_term("fold[List] [] (fn n:Nat => fn p:List => cons p n) [5,6,7]")
+    assert exact_cost(t).semantic == BaseList([5, 6, 7])
+    assert pure_denote({}, t) == BaseList([5, 6, 7])
+    assert EXACT_CONS["nil"].buf == [] and len(EXACT_CONS["nil"]) == 0
+    assert exact_cost(parse_term("cons [] 8")).semantic == BaseList([8])

@@ -7,6 +7,7 @@ import pytest
 from writ import (
     NAT,
     Arrow,
+    BaseList,
     Builtin,
     Constant,
     DuplicateSymbol,
@@ -244,3 +245,44 @@ def test_datatype_names_are_closed():
         sig.cons_decl("cons")
     assert sig.cons_decl("succ").args == ("Nat",)
     assert isinstance(Data("Nat"), Data)
+
+
+# ---------------------------------------------------------------- lists
+
+def test_list_snoc_onto_the_newest_view_appends_in_place():
+    xs = BaseList([1, 2])
+    ys = xs.snoc(3)
+    assert ys.buf is xs.buf
+    assert (xs.items, ys.items) == ((1, 2), (1, 2, 3))
+    assert (len(ys), ys[2]) == (3, 3)
+    with pytest.raises(IndexError):
+        xs[2]
+
+
+def test_list_snoc_onto_an_older_view_never_changes_a_newer_one():
+    xs = BaseList([1])
+    ys = xs.snoc(2)
+    zs = xs.snoc(9)
+    assert (xs.items, ys.items, zs.items) == ((1,), (1, 2), (1, 9))
+    assert zs.buf is not ys.buf
+    # the newer view's own next item is shared, not copied
+    assert xs.snoc(2).buf is ys.buf
+    assert ys.init().snoc(7).items == (1, 7) and ys.items == (1, 2)
+
+
+def test_lists_compare_by_items():
+    a, b = BaseList([1, 2]), BaseList([1]).snoc(2)
+    assert a.buf is not b.buf
+    assert a == b
+    assert a != BaseList([1]) and a != BaseList([1, 3]) and a != (1, 2)
+    assert BaseList([1, 2, 3]).init() == a
+    assert repr(a) == "BaseList((1, 2))"
+
+
+def test_list_constructor_copies_its_argument():
+    source = [1, 2]
+    xs = BaseList(source)
+    assert xs.buf is not source
+    source.append(3)
+    xs.snoc(4)
+    assert xs.items == (1, 2) and source == [1, 2, 3]
