@@ -6,8 +6,13 @@ constant time), pairs, host functions, and effect annotations drawn from one
 EffectTriple (an empty effect, a one-step extension, and a three-way
 combination). Swapping the triple and the symbol interpretations changes
 the analysis without touching the interpreter. denote runs the top level
-and each lambda body as a loop over its nodes, and builds each literal leaf
-once per call by folding the instantiation's constructors.
+and each closure's body as a loop over its nodes, and builds each literal
+leaf once per call by folding the instantiation's constructors. When it
+flattens a scope into that loop it resolves the translation's
+administrative redexes: a projection of a pair built in the scope reads the
+component, and an application of a lambda built in the scope runs the body
+inline. So no pair, closure or call is made for them at run time, while
+every effect, application and symbol read still runs once, in order.
 
 pure_denote is the effect-free reference semantics, a value oracle that
 does not go through the translation. Like the exact analyses, it takes its
@@ -204,7 +209,7 @@ class Instantiation:
 _RIGHT, _LEFT, _PAIR, _APP, _COM, _INC, _IOTA, _VAR, _LAM, _CONS, _FUNC, _LIT = range(12)
 
 # each node kind's opcode; from _IOTA on, the node is a leaf of its scope (a
-# lambda's body is a scope of its own)
+# lambda's body is a scope of its own unless it is inlined)
 _OPS: dict[type, int] = {
     M.ProjR: _RIGHT, M.ProjL: _LEFT, M.MPair: _PAIR, M.MApp: _APP, M.Com: _COM,
     M.Inc: _INC, M.Iota: _IOTA, M.MVar: _VAR, M.MLam: _LAM, M.BCons: _CONS,
@@ -212,45 +217,130 @@ _OPS: dict[type, int] = {
 }
 
 
-def _flatten(root: M.MetaTerm) -> list[tuple]:
-    """One scope as a children-first list, a shared node once, in the order a
-    left-to-right walk that remembers shared nodes would finish them.
+def _flatten(root: M.MetaTerm) -> tuple[list[tuple], int]:
+    """One scope as a children-first list of entries, and the position of
+    the root's value in it, with the translation's administrative redexes
+    resolved on the way.
 
-    Each entry is an opcode and three operands: the positions of the node's
-    children in the list, or the node itself when it has none.
+    Each node resolves either to a position in the list or to a static
+    value: a pair (_PAIR, left, right), or a lambda (_LAM, lam, env) with
+    env the static bindings in force where it was built. A projection of a
+    static pair is its component. An application of a static lambda places
+    the lambda's body inline, at the application's position, under env plus
+    the binder bound to the argument, with a memo of its own; a variable
+    bound there resolves to what it is bound to. A static value gets an
+    entry only where a value is needed at run time: as an operand of any
+    other node, or as the root. A lambda's entry captures the static
+    bindings it was built under. A lambda is not inlined inside its own
+    inlined body, which bounds the inlining on any term, typed or not; that
+    application calls a closure instead.
+
+    Every other node gets one entry per scope or inlined body (the empty
+    effect one per scope), a shared node once, in the order a left-to-right
+    walk that remembers shared nodes would finish it. So every effect,
+    application, symbol read, literal and shape check on a value from a
+    call runs as often, and in the same order, as when each lambda's body
+    ran as a scope at each call. Each entry is an opcode and three
+    operands: positions in the list, or the node itself when it has no
+    children (a lambda's second operand is its captures, pairs of a name
+    and a position).
     """
     code: list[tuple] = []
-    at: dict[int, int] = {}
-    # nodes to visit, and (op, node, children) to finish once the children
-    # are placed
+    emit = code.append
+    made: dict[int, tuple] = {}  # id of a static value -> (it, its position)
+    inlining: set[int] = set()  # ids of the lambdas whose bodies are being inlined
+    iota = None  # the position of the scope's one empty effect
+
+    def position(v) -> int:
+        return v if type(v) is int else made[id(v)][1]
+
+    def place(v) -> int:
+        """The position of v's value, giving v, and any static value it
+        holds, an entry first if v is static."""
+        if type(v) is int:
+            return v
+        todo = [v]
+        while todo:
+            w = todo[-1]
+            if id(w) in made:
+                todo.pop()
+                continue
+            parts = w[1:] if w[0] == _PAIR else w[2].values()
+            waiting = [p for p in parts if type(p) is not int and id(p) not in made]
+            if waiting:
+                todo += waiting
+                continue
+            todo.pop()
+            made[id(w)] = (w, len(code))
+            if w[0] == _PAIR:
+                emit((_PAIR, position(w[1]), position(w[2]), None))
+            else:
+                captures = tuple((name, position(p)) for name, p in w[2].items())
+                emit((_LAM, w[1], captures, None))
+        return made[id(v)][1]
+
+    # the memo of the scope or inlined body being flattened (node id -> its
+    # position or static value), and its static bindings
+    at: dict[int, object] = {}
+    env: dict[str, object] = {}
+    top = at
+    # nodes to visit, (op, node, children) to finish once the children are
+    # resolved, and (application, lambda, memo, bindings) to finish an
+    # inlined body and return to the memo and bindings around it
     todo: list = [root]
     pop, push, extend = todo.pop, todo.append, todo.extend
     op_of, children = _OPS.get, M.children
     while todo:
         node = pop()
         if type(node) is tuple:
+            if len(node) == 4:
+                app, lam, outer, env = node
+                inlining.discard(id(lam))
+                outer[id(app)] = at[id(lam.body)]
+                at = outer
+                continue
             op, node, kids = node
-            at[id(node)] = len(code)
-            if len(kids) == 1:
-                code.append((op, at[id(kids[0])], None, None))
-            elif len(kids) == 2:
-                code.append((op, at[id(kids[0])], at[id(kids[1])], None))
+            first = at[id(kids[0])]
+            static = type(first) is tuple
+            if op == _PAIR:
+                at[id(node)] = (_PAIR, first, at[id(kids[1])])
+            elif op <= _LEFT and static and first[0] == _PAIR:  # a projection
+                at[id(node)] = first[2] if op == _RIGHT else first[1]
+            elif op == _APP and static and first[0] == _LAM and id(first[1]) not in inlining:
+                lam = first[1]
+                inlining.add(id(lam))
+                push((node, lam, at, env))
+                push(lam.body)
+                env = {**first[2], lam.var: at[id(kids[1])]}
+                at = {}
             else:
-                code.append((op, at[id(kids[0])], at[id(kids[1])], at[id(kids[2])]))
+                slots = [place(at[id(kid)]) for kid in kids]
+                at[id(node)] = len(code)
+                emit((op, *slots, *(None,) * (3 - len(slots))))
             continue
-        if id(node) in at:
+        key = id(node)
+        if key in at:
             continue
         op = op_of(type(node))
         if op is None:
             raise MetaTypeMismatch(f"unknown metalanguage node {node!r}")
-        if op >= _IOTA:
-            at[id(node)] = len(code)
-            code.append((op, node, None, None))
-            continue
-        kids = children(node)
-        push((op, node, kids))
-        extend(kids[::-1])
-    return code
+        if op == _LAM:
+            at[key] = (_LAM, node, env)
+        elif op == _VAR and node.name in env:
+            at[key] = env[node.name]
+        elif op == _IOTA:
+            if iota is None:
+                iota = len(code)
+                emit((_IOTA, node, None, None))
+            at[key] = iota
+        elif op > _IOTA:
+            at[key] = len(code)
+            emit((op, node, None, None))
+        else:
+            kids = children(node)
+            push((op, node, kids))
+            extend(kids[::-1])
+    return code, place(top[id(root)])
 
 
 def _literal(inst: "Instantiation", value: "int | tuple[int, ...]") -> SemVal:
@@ -281,12 +371,17 @@ def _literal(inst: "Instantiation", value: "int | tuple[int, ...]") -> SemVal:
 def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     """Interpret a metalanguage term under an instantiation.
 
-    The top level and each lambda body are scopes, each flattened at most
-    once per call (a body when it first runs) into a list in which a shared
-    node appears once (sound because SemVal functions are pure). A run of a
-    scope is a plain loop, linear in its DAG, whose values live only as long
-    as the run; the host recurses only where one lambda's run calls another.
-    A literal leaf is built once per call, where a run first reaches it,
+    The top level and the body of each lambda that becomes a closure are
+    scopes, each flattened at most once per call (a body when it first
+    runs) into a list in which a shared node appears once (sound because
+    SemVal functions are pure). The flattener resolves the translation's
+    administrative redexes statically (see _flatten): a projection of a pair
+    built in the same scope reads the component, and an application of a
+    lambda built in the same scope runs the lambda's body inline, so no
+    pair, closure or call is made for them at run time. A run of a scope is
+    a plain loop, linear in its list, whose values live only as long as the
+    run; the host recurses only where one closure's run calls another. A
+    literal leaf is built once per call, where a run first reaches it,
     however often the lambda around it is applied.
 
     The lists and literal values are kept as long as the value denote
@@ -298,7 +393,7 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     eff = inst.effect
     iota = Eff(eff.eps)
     # keyed by node id, for this call and the functions it returns
-    codes: dict[int, list[tuple]] = {}  # a lambda body's list
+    codes: dict[int, tuple[list[tuple], int]] = {}  # a lambda body's list and root
     literals: dict[int, SemVal] = {}  # a literal leaf's value
 
     def closure(lam: M.MLam, scope: SemEnv) -> SFun:
@@ -308,23 +403,15 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
             code = codes.get(id(body))
             if code is None:
                 code = codes[id(body)] = _flatten(body)
-            return run(code, {**scope, var: a})
+            return run(*code, {**scope, var: a})
 
         return SFun(call)
 
-    def run(code: list[tuple], scope: SemEnv) -> SemVal:
+    def run(code: list[tuple], root: int, scope: SemEnv) -> SemVal:
         vals: list[SemVal] = []
         push = vals.append
         for op, x, y, z in code:
-            if op == _RIGHT:
-                push(as_pair(vals[x]).snd)
-            elif op == _LEFT:
-                push(as_pair(vals[x]).fst)
-            elif op == _PAIR:
-                push(SPair(vals[x], vals[y]))
-            elif op == _IOTA:
-                push(iota)
-            elif op == _APP:
+            if op == _APP:
                 push(as_fun(vals[x]).fn(vals[y]))
             elif op == _COM:
                 push(Eff(eff.com(as_eff(vals[x]).amount, as_eff(vals[y]).amount,
@@ -336,22 +423,32 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
                     raise MetaTypeMismatch(
                         f"unbound meta variable {x.name!r} at interpretation time"
                     ) from None
-            elif op == _LAM:
-                push(closure(x, scope))
             elif op == _INC:
                 push(Eff(eff.inc(as_eff(vals[x]).amount)))
+            elif op == _PAIR:
+                push(SPair(vals[x], vals[y]))
+            elif op == _IOTA:
+                push(iota)
             elif op == _CONS:
                 push(inst.cons(x.symbol))
             elif op == _FUNC:
                 push(inst.func(x.symbol))
+            elif op == _RIGHT:
+                push(as_pair(vals[x]).snd)
+            elif op == _LEFT:
+                push(as_pair(vals[x]).fst)
+            elif op == _LAM:
+                # a lambda built in an inlined body takes the values bound
+                # there along
+                push(closure(x, {**scope, **{name: vals[i] for name, i in y}} if y else scope))
             else:
                 v = literals.get(id(x))
                 if v is None:
                     v = literals[id(x)] = _literal(inst, x.value)
                 push(v)
-        return vals[-1]
+        return vals[root]
 
-    return run(_flatten(mt), dict(env))
+    return run(*_flatten(mt), dict(env))
 
 
 def compose(inst: Instantiation, f: SemVal, a: SemVal) -> SemVal:

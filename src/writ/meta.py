@@ -215,7 +215,9 @@ def translate(sig: Signature, ctx: TyContext, t: Term) -> MetaTerm:
     """Translate a well-typed term; the result pairs an effect with a value.
 
     Typechecks first as a guard, then proceeds structurally. The output is
-    un-normalized on purpose: the pair/projection redexes are left standing.
+    un-normalized on purpose: the pair/projection and beta redexes are left
+    standing, and engine._flatten resolves them when denote flattens a
+    scope.
     """
     typecheck(sig, ctx, t)
     return _translate(sig, t)

@@ -20,8 +20,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from reference_denote import reference_denote
 from reference_eval import reference_evaluate
 from term_strategies import FUNCTIONAL, N2N, NAT2, closed_terms
+from test_engine import SHAPES, CountingDict
 from writ import (
     LIST,
     NAT,
@@ -32,41 +34,61 @@ from writ import (
     Cons,
     ConsDecl,
     Constant,
+    DEFAULT_FUEL,
     Data,
+    Eff,
     Fuel,
     FuelExhausted,
     FuncDecl,
     Func,
     Identity,
+    Instantiation,
     Lam,
     MissingInterpretation,
     PCons,
     PVar,
     Rule,
     SEARCH_TEMPLATE,
+    SFun,
+    SPair,
     Signature,
     Table,
     UnsupportedSymbol,
     Var,
+    WritError,
     as_base,
+    as_fun,
+    as_list,
+    as_pair,
     bar_rec,
     bounded_cost,
+    continuity_inst,
+    cost_bounded_inst,
+    cost_exact_inst,
+    denote,
     evaluate,
     exact_cost,
     list_value,
     majorant,
+    majorizability_inst,
     modulus,
     numeral,
     numeral_value,
     parse_term,
     pure_denote,
+    recursor,
+    render_semval,
     render_term,
     signature_for,
     system_t,
+    translate,
     typecheck,
     verify_modulus,
     with_oracle,
 )
+from writ.engine import EXACT_CONS
+from writ.instantiations import lift_builtin
+from writ.signatures import BUILTINS
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 ORACLES = (Identity(), Constant(3), Table(((0, 4), (1, 2), (5, 0)), default=1))
@@ -340,3 +362,180 @@ def test_generated_functionals_pass_verify_modulus(term, g, seed):
         return
     rep = verify_modulus(term, g, trials=5, seed=seed)
     assert rep.passed, (render_term(term), rep.details)
+
+
+# ---------------------------------------------------------------- denote
+
+# engine.denote resolves the translation's administrative redexes when it
+# flattens a scope; reference_denote gives every node an entry. Under every
+# instantiation both must give the same effect and value (and the same again
+# for a function value applied to probes), read the same symbols as often,
+# and raise the same class of error, at the least fuel the reference needs
+# and at one less.
+
+class _Reads(CountingDict):
+    """A symbol table that also counts the reads that go through get."""
+
+    def get(self, key, default=None):
+        self.reads += 1
+        self.by_symbol[key] += 1
+        return super().get(key, default)
+
+
+def _shapes_inst(fuel):
+    """SHAPES effects everywhere, in the builtins and the recursors too."""
+    return Instantiation(
+        name="shapes",
+        effect=SHAPES,
+        cons_interp=EXACT_CONS,
+        func_interp={name: lift_builtin(BUILTINS[name], SHAPES)
+                     for name in ("add", "mul", "lt", "len", "ext")},
+        func_families={"rec": recursor(SHAPES, lambda n: range(as_base(n).value), fuel),
+                       "fold": recursor(SHAPES, lambda xs: as_list(xs).items, fuel)},
+    )
+
+
+# (name, instantiation for a fuel, oracle for the term's translation)
+INSTS = [
+    ("cost_exact", cost_exact_inst, None),
+    ("cost_bounded", cost_bounded_inst, None),
+    ("majorizability", majorizability_inst, None),
+    *((f"continuity-{g.__class__.__name__.lower()}",
+       lambda fuel, g=g: continuity_inst(g, fuel), g) for g in ORACLES),
+    ("shapes", _shapes_inst, None),
+]
+
+
+def _probe(ty, eps):
+    """An argument of the lifted type ty: a constant where ty is a
+    function."""
+    if ty == NAT:
+        return Base(2)
+    if ty == LIST:
+        return BaseList((1, 2))
+    out = _probe(ty.cod, eps)
+    return SFun(lambda a: SPair(Eff(eps), out))
+
+
+def _denote_outcome(run, make, mt, ty, fuel):
+    """What run (a denote) makes of mt, and of its value applied to probes
+    when it is a function, with the symbol reads and the class of any
+    error."""
+    inst = make(fuel)
+    inst = replace(inst, cons_interp=_Reads(inst.cons_interp),
+                   func_interp=_Reads(inst.func_interp),
+                   func_families=_Reads(inst.func_families))
+    shown = []
+    try:
+        v = run(inst, {}, mt)
+        shown.append(render_semval(v))
+        while isinstance(ty, Arrow):
+            v = as_fun(as_pair(v).snd).fn(_probe(ty.dom, inst.effect.eps))
+            shown.append(render_semval(v))
+            ty = ty.cod
+    except WritError as err:
+        shown.append(type(err).__name__)
+    reads = tuple(dict(d.by_symbol) for d in
+                  (inst.cons_interp, inst.func_interp, inst.func_families))
+    return shown, reads
+
+
+def _least_fuel(runs_dry, cap):
+    """The least fuel from 1 to cap on which runs_dry is false, or cap."""
+    low, high = 0, 1
+    while high < cap and runs_dry(high):
+        low, high = high, min(2 * high, cap)
+    while high - low > 1:
+        mid = (low + high) // 2
+        low, high = (mid, high) if runs_dry(mid) else (low, mid)
+    return high
+
+
+def assert_denote_agrees(sig, term, cap=DEFAULT_FUEL.max_steps):
+    """denote and reference_denote agree on term under every
+    instantiation, at the least fuel up to cap on which the reference does
+    not run dry, and at one less."""
+    ty = typecheck(sig, {}, term)
+    plain = translate(sig, {}, term)
+    for name, make, g in INSTS:
+        mt, mty = plain, ty
+        if g is not None and ty == FUNCTIONAL:
+            mt = translate(with_oracle(sig, g), {}, App(term, Func("alpha")))
+            mty = NAT
+
+        def ref(k):
+            return _denote_outcome(reference_denote, make, mt, mty, Fuel(k))
+
+        k = _least_fuel(lambda k: ref(k)[0][-1] == "FuelExhausted", cap)
+        for k in {k, k - 1} - {0}:
+            got = _denote_outcome(denote, make, mt, mty, Fuel(k))
+            assert got == ref(k), (name, k, render_term(term))
+
+
+@pytest.mark.parametrize("term", _corpus_terms())
+def test_corpus_terms_denote_as_the_reference(term):
+    assert_denote_agrees(signature_for(term), term)
+
+
+DENOTE_FAMILIES = [
+    *FAMILIES,
+    *(f"rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) {n}" for n in (150, 400)),
+    "fold[Nat] 0 (fn n:Nat => fn p:Nat => add n p) [" + ",".join("3" * 120) + "]",
+    "len (fold[List] [] (fn n:Nat => fn p:List => cons p n) [" + ",".join("5" * 60) + "])",
+    *(f"fn f:Nat->Nat => rec[Nat] 0 (fn n:Nat => fn p:Nat => succ (f p)) {n}"
+      for n in (0, 3, 40)),
+    f"{SEARCH} (fn f:Nat->Nat => 12) (fn x:Nat => 0) []",
+]
+
+
+@pytest.mark.parametrize("src", DENOTE_FAMILIES)
+def test_bench_families_denote_as_the_reference(src):
+    term = parse_term(src)
+    assert_denote_agrees(signature_for(term), term)
+
+
+@_GEN
+@given(st.sampled_from([NAT, LIST, N2N, NAT2]).flatmap(
+    lambda ty: st.tuples(st.just(ty), closed_terms(ty, lists=True))))
+def test_generated_list_terms_denote_as_the_reference(typed):
+    _, term = typed
+    sig = _generated_signature(lists=True)
+    if _finished(sig, term) is not None:
+        assert_denote_agrees(sig, term, _GEN_FUEL.max_steps)
+
+
+@_GEN
+@given(st.sampled_from([NAT, N2N, FUNCTIONAL]).flatmap(
+    lambda ty: closed_terms(ty, lists=False, arithmetic=True)))
+def test_generated_t_terms_denote_as_the_reference(term):
+    sig = _generated_signature(lists=True)
+    if _finished(sig, term) is not None:
+        assert_denote_agrees(sig, term, _GEN_FUEL.max_steps)
+
+
+# the flattener's rules at their edges: a partial application that escapes
+# with a captured binder, and an inlined body whose binder is shadowed; each
+# also against the machine's steps and value
+DENOTE_EDGES = [
+    "(fn f:Nat->Nat => f 3) (add 2)",
+    "(fn g:Nat->Nat->Nat => g 1 (g 2 3)) add",
+    "fold[Nat] 0 add [1,2,3]",
+    "(fn x:Nat => (fn x:Nat => succ x) 3) 5",
+    # the step escapes into the recursor with k bound to 5, inside a closure
+    # whose own k is whatever it is applied to
+    "fn k:Nat => rec[Nat] 0 ((fn k:Nat => fn n:Nat => fn p:Nat => add k p) 5) 3",
+    "(fn k:Nat => rec[Nat] 0 ((fn k:Nat => fn n:Nat => fn p:Nat => add k p) 5) 3) 2",
+    "fn x:Nat => (fn x:Nat => fn y:Nat => x) 3",
+]
+
+
+@pytest.mark.parametrize("src", DENOTE_EDGES)
+def test_denote_edge_cases(src):
+    term = parse_term(src)
+    sig = signature_for(term)
+    assert_denote_agrees(sig, term)
+    res = evaluate(sig, term)
+    report = exact_cost(term, sig)
+    assert report.predicted == res.steps
+    if typecheck(sig, {}, term) == NAT:
+        assert report.semantic == Base(numeral_value(res.value))

@@ -1,9 +1,11 @@
 """Semantic domains, the metalanguage interpreter, and the plain semantics."""
 
+import sys
 from collections import Counter
 from dataclasses import replace
 
 import pytest
+from reference_denote import reference_denote
 
 from writ import (
     COST,
@@ -16,10 +18,22 @@ from writ import (
     Eff,
     EffectTriple,
     Fuel,
+    GAMMA,
+    IOTA,
+    Inc,
     FuelExhausted,
     Identity,
+    MApp,
+    MData,
+    MetaTypeMismatch,
     MissingInterpretation,
+    MLam,
     MLit,
+    MPair,
+    MVar,
+    ProjL,
+    ProjR,
+    WritError,
     SFun,
     SPair,
     ShapeMismatch,
@@ -45,7 +59,7 @@ from writ import (
     translate,
     with_oracle,
 )
-from writ.engine import EXACT_CONS
+from writ.engine import _APP, _COM, _INC, _LAM, _LEFT, _PAIR, _RIGHT, EXACT_CONS, _flatten
 from writ.syntax import Lit, literal_spine
 
 SEARCH = f"({SEARCH_TEMPLATE})"
@@ -306,3 +320,93 @@ def test_building_a_list_leaves_the_shared_empty_list_empty():
     assert pure_denote({}, t) == BaseList([5, 6, 7])
     assert EXACT_CONS["nil"].buf == [] and len(EXACT_CONS["nil"]) == 0
     assert exact_cost(parse_term("cons [] 8")).semantic == BaseList([8])
+
+
+# ---------------------------------------------------------------- flattening
+
+NAT_TY = MData("Nat")
+
+
+def _agrees_with_reference(mt, env=None):
+    """denote and the unreduced reference give the same outcome on mt."""
+    def outcome(run):
+        try:
+            return render_semval(run(cost_exact_inst(), dict(env or {}), mt))
+        except WritError as err:
+            return type(err).__name__
+    got = outcome(denote)
+    assert got == outcome(reference_denote)
+    return got
+
+
+@pytest.mark.parametrize("mt, want", [
+    (ProjR(MPair(IOTA, MPair(IOTA, MVar("x")))), [0, 7]),
+    (ProjL(MPair(MPair(Inc(IOTA), MLit(2)), IOTA)), [1, [0, 2]]),
+    (MVar("x"), 7),
+    (MLit(3), [0, 3]),
+    (ProjR(MApp(ProjR(MPair(IOTA, MLam("y", NAT_TY, MPair(IOTA, MVar("y"))))), MVar("x"))), 7),
+])
+def test_hand_built_roots(mt, want):
+    assert _agrees_with_reference(mt, {"x": Base(7)}) == want
+
+
+def test_unbound_meta_variable_still_raises():
+    inlined = MApp(ProjR(MPair(IOTA, MLam("y", NAT_TY, MPair(IOTA, MVar("z"))))), MLit(1))
+    for mt in (MVar("z"), inlined, ProjR(inlined)):
+        assert _agrees_with_reference(mt) == "MetaTypeMismatch"
+        with pytest.raises(MetaTypeMismatch):
+            denote(cost_exact_inst(), {}, mt)
+
+
+def test_unknown_node_in_an_inlined_body_is_reported_before_the_scope_runs():
+    # the reference meets the bogus node only when the lambda is applied,
+    # after it has read the constructor of the literal argument; denote
+    # finds it when it flattens the top level, before any read
+    inst = counting_cost_inst()
+    bogus = MApp(ProjR(MPair(IOTA, MLam("y", NAT_TY, object()))), ProjR(MLit(1)))
+    with pytest.raises(MetaTypeMismatch):
+        denote(inst, {}, bogus)
+    assert inst.cons_interp.reads == 0
+    with pytest.raises(MetaTypeMismatch):
+        reference_denote(inst, {}, bogus)
+    assert inst.cons_interp.reads == 2
+
+
+def _chain(depth, wrap):
+    mt = MPair(IOTA, MLit(1))
+    for i in range(depth):
+        mt = wrap(mt, i)
+    return mt
+
+
+@pytest.mark.parametrize("wrap", [
+    lambda mt, i: ProjR(MPair(IOTA, mt)),
+    # nested in the lambda's body, so each redex runs inside the one before
+    lambda mt, i: MApp(ProjR(MPair(IOTA, MLam(f"x{i % 3}", NAT_TY, mt))), MLit(0)),
+    # nested in the argument
+    lambda mt, i: MApp(ProjR(MPair(IOTA, MLam("x", GAMMA, MPair(MVar("x"), MLit(0))))),
+                       ProjL(mt)),
+], ids=["projections", "redexes-in-bodies", "redexes-in-arguments"])
+def test_deep_chains_need_no_host_recursion(wrap):
+    mt = _chain(5000, wrap)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        out = denote(cost_exact_inst(), {}, mt)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert isinstance(out, SPair)
+
+
+def test_a_symbol_body_flattens_to_its_redex_free_core():
+    # unresolved, the body of fn p:Nat => succ p is 18 entries, and it calls
+    # succ's eta-expanded lambda, whose body is 5 more; resolved, it is 7
+    # entries, and the pairs, their projections and the call are gone
+    lam = translate(system_t(), {}, parse_term("fn p:Nat => succ p")).right
+    code, root = _flatten(lam.body)
+    ops = [entry[0] for entry in code]
+    assert ops.count(_PAIR) == 1 and code[root][0] == _PAIR
+    assert _LAM not in ops
+    assert not [e for e in code if e[0] in (_LEFT, _RIGHT) and code[e[1]][0] == _PAIR]
+    assert ops.count(_APP) == 1 and ops.count(_COM) == 1 and ops.count(_INC) == 1
+    assert len(code) == 7
