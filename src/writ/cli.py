@@ -255,6 +255,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(e.code or 0)
     try:
         fuel = Fuel(args.fuel)
+        if args.trials < 0:
+            raise ValueError("trials must not be negative")
         config = CliConfig(
             command=args.command,
             path=Path(args.file) if getattr(args, "file", None) else None,

@@ -12,12 +12,16 @@ Only two things cost a step: a beta reduction and a rule/builtin unfold.
 The function of an application is evaluated before its argument, so steps
 are charged, and oracle queries logged, in the order of the substitution
 semantics; finished values cost zero.
+
+A term is compiled once per machine. oracle_runner keeps one machine and its
+code for a term applied to alpha and reruns that code for each oracle it is
+given, so a modulus check compiles once and runs once per oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .errors import FuelExhausted, StuckTerm
 from .signatures import BaseList, Builtin, OracleSpec, Signature, with_oracle
@@ -39,7 +43,10 @@ from .syntax import (
     typecheck,
 )
 
-__all__ = ["Fuel", "DEFAULT_FUEL", "EvalResult", "evaluate", "evaluate_with_oracle"]
+__all__ = [
+    "Fuel", "DEFAULT_FUEL", "EvalResult", "evaluate", "evaluate_with_oracle",
+    "oracle_runner",
+]
 
 
 @dataclass(frozen=True)
@@ -319,6 +326,28 @@ def evaluate_typed(sig: Signature, e: Term, fuel: Fuel = DEFAULT_FUEL) -> EvalRe
     machine = _Machine(sig, fuel)
     v = machine.run(machine.compile(e, ()), ())
     return EvalResult(_read_back(v), machine.steps, tuple(machine.queries))
+
+
+def oracle_runner(
+    sig: Signature, e: Term, fuel: Fuel = DEFAULT_FUEL
+) -> Callable[[OracleSpec], EvalResult]:
+    """A function taking each oracle g to evaluate_typed(with_oracle(sig, g),
+    e, fuel), with e and every rule it reaches compiled once for all of them.
+
+    alpha's delta reads the oracle from a cell that each call sets before
+    it runs the code."""
+    current: list = [None]
+    machine = _Machine(with_oracle(sig, lambda n: current[0](n)), fuel)
+    code = machine.compile(e, ())
+
+    def run(g: OracleSpec) -> EvalResult:
+        current[0] = g
+        machine.steps = 0
+        machine.queries = []
+        v = machine.run(code, ())
+        return EvalResult(_read_back(v), machine.steps, tuple(machine.queries))
+
+    return run
 
 
 def evaluate_with_oracle(

@@ -4,6 +4,9 @@ Every analysis is replayed against the instrumented evaluator (or, for the
 search cost, against an independently coded recurrence) and the comparison
 is packaged as a VerifyReport. run_corpus drives a directory of annotated
 .wt files and never lets one bad file poison the rest.
+
+verify_modulus compiles the term applied to alpha once per check and runs
+that code once per oracle: the live one and each perturbed one.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .engine import (
     spair,
 )
 from .errors import FuelExhausted, ParseError, WritError
-from .evaluator import DEFAULT_FUEL, Fuel, evaluate, evaluate_typed
+from .evaluator import DEFAULT_FUEL, Fuel, evaluate, oracle_runner
 from .instantiations import (
     Instantiation,
     bounded_cost,
@@ -163,18 +166,21 @@ def verify_modulus(
     installed; every logged query lies in the reported support; and for a
     seeded batch of oracles mutated only at unclaimed positions below the
     modulus and inside a window at or above it, the value never moves.
+    Raises ValueError when trials is negative.
     """
+    if trials < 0:
+        raise ValueError("trials must not be negative")
     term_id = term_id or render_term(e)
     analysis = f"modulus({oracle_label(g)})"
     applied = App(e, Func("alpha"))
     base = system_t()
     try:
         rep = modulus(e, g, fuel, inst=inst)
-        live = with_oracle(base, g)
         # alpha has one type under every oracle, so this check covers the
         # perturbed runs below as well
-        typecheck(live, {}, applied)
-        res = evaluate_typed(live, applied, fuel)
+        typecheck(with_oracle(base, g), {}, applied)
+        run = oracle_runner(base, applied, fuel)
+        res = run(g)
     except WritError as err:
         return _fail(term_id, analysis, _err(err), trials=trials, seed=seed)
     evidence: dict[str, object] = {
@@ -192,6 +198,7 @@ def verify_modulus(
                      evidence, trials, seed)
     rng = random.Random(seed)
     support = set(rep.support)
+    answers = [g(j) for j in range(rep.phi + window)]
     mutable = [j for j in range(rep.phi + window) if j not in support]
     ran = 0
     for _ in range(trials):
@@ -200,12 +207,11 @@ def verify_modulus(
         count = rng.randint(1, min(4, len(mutable)))
         chosen = sorted(rng.sample(mutable, count))
         pairs = tuple(
-            (j, g(j) + 1 + rng.randrange(5) if j in chosen else g(j))
-            for j in range(rep.phi + window)
+            (j, a + 1 + rng.randrange(5) if j in chosen else a)
+            for j, a in enumerate(answers)
         )
-        mutated = Table(pairs, default=0)
         try:
-            res_m = evaluate_typed(with_oracle(base, mutated), applied, fuel)
+            res_m = run(Table(pairs, default=0))
         except WritError as err:
             return _fail(term_id, analysis, _err(err),
                          {**evidence, "mutated_positions": chosen}, trials, seed)
@@ -458,11 +464,15 @@ def verify_file(
     trials: int = 100,
     seed: int = 0,
 ) -> list[VerifyReport]:
-    """Run every annotated analysis of one .wt file; a term nested past the
-    host's recursion limit gives one failure report for the file."""
+    """Run every annotated analysis of one .wt file; a file that cannot be
+    read as UTF-8, or a term nested past the host's recursion limit, gives
+    one failure report for the file."""
     path = Path(path)
     term_id = path.name
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as err:
+        return [_fail(term_id, "read", f"{type(err).__name__}: {err}")]
     specs = _annotations(text)
     try:
         try:
@@ -487,9 +497,9 @@ def run_corpus(
 ) -> list[VerifyReport]:
     """Verify a directory of annotated .wt files, one report per analysis.
 
-    Files are processed in name order; a file that fails to parse or check,
-    or nests too deeply, contributes a single failure report and the rest
-    still run. Results are deterministic for a fixed seed.
+    Files are processed in name order; a file that cannot be read, fails to
+    parse or check, or nests too deeply contributes a single failure report
+    and the rest still run. Results are deterministic for a fixed seed.
     """
     reports: list[VerifyReport] = []
     for file in sorted(Path(path).glob("*.wt")):

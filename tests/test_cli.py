@@ -199,6 +199,24 @@ def test_fuel_must_be_positive(wt, capsys):
     assert code == 2
 
 
+def test_trials_must_not_be_negative(wt, capsys):
+    path = wt("ff2.wt", f"-- analyses: modulus(identity)\n{FF2}")
+    assert run(capsys, "verify", path, "--trials", "-3") == (
+        2, "", "writ: trials must not be negative\n")
+    code, out, _ = run(capsys, "verify", path, "--trials", "0")
+    assert code == 0
+    assert json.loads(out)["reports"][0]["evidence"]["perturbations_run"] == 0
+
+
+def test_verify_corpus_reports_an_unreadable_file(wt, capsys, tmp_path):
+    (tmp_path / "a_bad.wt").write_bytes(b"\xff\xfe")
+    wt("b.wt", f"-- analyses: cost\n{REC3}")
+    code, out, _ = run(capsys, "verify", "--corpus", str(tmp_path), "--text")
+    assert code == 1
+    assert out.splitlines()[1:] == ["b.wt: cost: pass", "failures = 1"]
+    assert out.startswith("a_bad.wt: read: fail (UnicodeDecodeError: ")
+
+
 def test_sig_override(wt, capsys):
     # rec3 types fine under the larger signature
     code, out, _ = run(capsys, "check", wt("rec3.wt", REC3), "--sig", "list")

@@ -8,11 +8,13 @@ numerals. On generated terms the machine finishes, the analyses must agree
 with it: predicted steps and values are exact, and so are pure values;
 bounds and majorants dominate; the modulus's support is the oracle
 queries in order; and perturbing the oracle outside the support leaves the
-value where it was.
+value where it was. A term compiled once by oracle_runner and rerun under
+one oracle after another must agree with a fresh machine per oracle.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import replace
 from pathlib import Path
 
@@ -87,6 +89,7 @@ from writ import (
     with_oracle,
 )
 from writ.engine import EXACT_CONS
+from writ.evaluator import evaluate_typed, oracle_runner
 from writ.instantiations import lift_builtin
 from writ.signatures import BUILTINS
 
@@ -155,6 +158,66 @@ def test_oracle_rec_agrees(n, g):
     term = parse_term(
         f"(fn f:Nat->Nat => rec[Nat] 0 (fn n:Nat => fn p:Nat => succ (f p)) {n}) alpha")
     assert assert_agree(with_oracle(system_t(), g), term)[1] == 4 * n + 2
+
+
+# ---------------------------------------------------------------- one runner, many oracles
+
+def _runner_outcome(run, g):
+    try:
+        res = run(g)
+    except FuelExhausted as err:
+        return ("fuel", err.steps)
+    return (render_term(res.value), res.steps, res.queries)
+
+
+def _mixed_oracles():
+    """Every kind of oracle, interleaved, with repeats; three of the tables
+    are seeded random ones."""
+    rng = random.Random(0)
+    tables = [Table(tuple((j, rng.randrange(10)) for j in range(12)),
+                    default=rng.randrange(10)) for _ in range(3)]
+    return [Identity(), tables[0], Constant(5), Table(((0, 9), (1, 3))), tables[1],
+            Identity(), Constant(0), tables[2], Table(((0, 9), (1, 3))), tables[0],
+            Constant(5), Identity()]
+
+
+MIXED_ORACLES = _mixed_oracles()
+
+
+@pytest.mark.parametrize("term", [
+    pytest.param(parse_term(p.read_text(encoding="utf-8")), id=p.stem)
+    for p in sorted(CORPUS.glob("mod_*.wt"))
+])
+def test_oracle_runner_agrees_with_a_fresh_evaluation_per_oracle(term):
+    """One runner, called under one oracle after another, answers each
+    exactly as evaluate_typed does under that oracle alone; so does a runner
+    whose fuel the dearest oracle overruns."""
+    base, applied = system_t(), App(term, Func("alpha"))
+    fresh = [_outcome(evaluate_typed, with_oracle(base, g), applied, DEFAULT_FUEL)
+             for g in MIXED_ORACLES]
+    run = oracle_runner(base, applied)
+    assert [_runner_outcome(run, g) for g in MIXED_ORACLES] == fresh
+    short = Fuel(max(1, max(out[1] for out in fresh) - 1))
+    run = oracle_runner(base, applied, short)
+    assert [_runner_outcome(run, g) for g in MIXED_ORACLES] == [
+        _outcome(evaluate_typed, with_oracle(base, g), applied, short)
+        for g in MIXED_ORACLES
+    ]
+
+
+def test_oracle_runner_is_exact_after_running_out_of_fuel():
+    term = parse_term((CORPUS / "mod_rec_base_count.wt").read_text(encoding="utf-8"))
+    base, applied = system_t(), App(term, Func("alpha"))
+    # the recursion count is the oracle's answer at 0: 0, 5 and 9 here
+    identity = evaluate_typed(with_oracle(base, Identity()), applied)
+    fuel = Fuel(identity.steps + 3)
+    run = oracle_runner(base, applied, fuel)
+    got = [_runner_outcome(run, g)
+           for g in (Constant(5), Identity(), Table(((0, 9),)), Identity())]
+    assert got == [("fuel", fuel.max_steps + 1),
+                   (render_term(identity.value), identity.steps, identity.queries),
+                   ("fuel", fuel.max_steps + 1),
+                   (render_term(identity.value), identity.steps, identity.queries)]
 
 
 # the machine's less travelled paths, picked by hand

@@ -25,6 +25,7 @@ from writ import (
     verify_modulus,
     verify_spector,
 )
+from writ import harness
 
 FF2 = "fn f:Nat->Nat => f (f 2)"
 REC3 = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3"
@@ -93,6 +94,35 @@ def test_verify_modulus_blind_functional_has_nothing_to_perturb_below_phi():
     # phi is zero, so only the window above it gets mutated
     assert rep.evidence["phi"] == 0
     assert rep.evidence["perturbations_run"] == 10
+
+
+def test_verify_modulus_runs_each_trial_under_its_own_oracle(monkeypatch):
+    # a mutated table differs from the live oracle only where a correct
+    # evaluator never looks, so the value alone cannot show which one ran
+    calls = []  # (table, argument); keeping every table alive keeps ids apart
+
+    class RecordingTable(Table):
+        def __call__(self, n):
+            calls.append((self, n))
+            return super().__call__(n)
+
+    monkeypatch.setattr(harness, "Table", RecordingTable)
+    rep = verify_modulus(parse_term(FF2), Identity(), trials=10, seed=5)
+    assert rep.passed
+    assert rep.evidence["perturbations_run"] == 10
+    by_table: dict[int, list[int]] = {}
+    for table, n in calls:
+        by_table.setdefault(id(table), []).append(n)
+    # ten tables, each queried as the live oracle was: at 2, then at its answer
+    assert list(by_table.values()) == [[2, 2]] * 10
+
+
+def test_verify_modulus_rejects_negative_trials():
+    with pytest.raises(ValueError, match="trials"):
+        verify_modulus(parse_term(FF2), Identity(), trials=-3)
+    rep = verify_modulus(parse_term(FF2), Identity(), trials=0)
+    assert rep.passed
+    assert rep.evidence["perturbations_run"] == 0
 
 
 def test_verify_bound_passes_and_catches_undercounting():
@@ -219,6 +249,20 @@ def test_run_corpus_orders_by_name_and_survives_bad_files(tmp_path):
         "a_broken.wt", "b_sum.wt", "b_sum.wt", "c_mod.wt",
     ]
     assert [r.passed for r in reports] == [False, True, True, True]
+
+
+def test_run_corpus_survives_an_unreadable_file(tmp_path):
+    (tmp_path / "a_latin1.wt").write_bytes(b"-- analyses: cost\n-- caf\xe9\nadd 1 2\n")
+    (tmp_path / "b_dir.wt").mkdir()
+    _write(tmp_path, "c_sum.wt", "-- analyses: cost\nadd 2 3\n")
+    reports = run_corpus(tmp_path)
+    assert [(r.term_id, r.analysis, r.passed) for r in reports] == [
+        ("a_latin1.wt", "read", False),
+        ("b_dir.wt", "read", False),
+        ("c_sum.wt", "cost", True),
+    ]
+    assert reports[0].details.startswith("UnicodeDecodeError: ")
+    assert reports[1].details.startswith("IsADirectoryError: ")
 
 
 def test_run_corpus_deterministic(tmp_path):
