@@ -4,7 +4,9 @@ The metalanguage is interpreted over SemVal: naturals, finite numeral
 sequences (the machine's own BaseList, which the exact cons extends in
 constant time), pairs, host functions, and effect annotations drawn from one
 EffectTriple (an empty effect, a one-step extension, and a three-way
-combination). Swapping the triple and the symbol interpretations changes
+combination). The value classes are slotted dataclasses, immutable by
+convention rather than frozen, since the analyses build several per
+recursor stage. Swapping the triple and the symbol interpretations changes
 the analysis without touching the interpreter. denote runs the top level
 and each closure's body as a loop over its nodes, and builds each literal
 leaf once per call by folding the instantiation's constructors. When it
@@ -63,27 +65,31 @@ TRIVIAL = EffectTriple(None, lambda c: None, lambda a, b, c: None)
 
 # ---------------------------------------------------------------- values
 
-@dataclass(frozen=True)
+# slotted and immutable by convention: nothing writes a field after
+# construction, and a frozen dataclass would pay an object.__setattr__ per
+# field on every build
+
+@dataclass(slots=True, unsafe_hash=True)
 class Eff:
     """An effect annotation, an element of the active carrier."""
 
     amount: object
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Base:
     """A natural number (or a size, under size-based analyses)."""
 
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SPair:
     fst: "SemVal"
     snd: "SemVal"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class SFun:
     """A host function on semantic values. Must be pure."""
 

@@ -62,7 +62,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)  # one per token; immutable by convention
 class _Token:
     kind: str
     text: str

@@ -436,9 +436,17 @@ class Identity(OracleSpec):
         return n
 
 
+def _check_natural(n: int, what: str) -> None:
+    if n < 0:
+        raise ValueError(f"oracle {what} must be a natural, got {n}")
+
+
 @dataclass(frozen=True)
 class Constant(OracleSpec):
     value: int
+
+    def __post_init__(self) -> None:
+        _check_natural(self.value, "value")
 
     def __call__(self, n: int) -> int:
         return self.value
@@ -446,10 +454,17 @@ class Constant(OracleSpec):
 
 @dataclass(frozen=True)
 class Table(OracleSpec):
-    """Finite table with a default for every unlisted argument."""
+    """Finite table with a default for every unlisted argument; keys and
+    values are naturals."""
 
     pairs: tuple[tuple[int, int], ...]
     default: int = 0
+
+    def __post_init__(self) -> None:
+        for k, v in self.pairs:
+            _check_natural(k, "key")
+            _check_natural(v, "value")
+        _check_natural(self.default, "default")
 
     def __call__(self, n: int) -> int:
         for k, v in self.pairs:
@@ -462,7 +477,8 @@ def oracle_from_json(source: str | Mapping) -> OracleSpec:
     """Load an oracle from its JSON object form.
 
     Shapes: {"kind":"identity"}, {"kind":"constant","value":K},
-    {"kind":"table","pairs":[[k,v],...],"default":D}.
+    {"kind":"table","pairs":[[k,v],...],"default":D}, with K, k, v and D
+    natural JSON integers; any other shape raises ValueError.
     """
     obj = json.loads(source) if isinstance(source, str) else source
     if not isinstance(obj, Mapping):
@@ -471,11 +487,22 @@ def oracle_from_json(source: str | Mapping) -> OracleSpec:
     if kind == "identity":
         return Identity()
     if kind == "constant":
-        return Constant(int(obj["value"]))
+        return Constant(_json_int(obj.get("value"), "value"))
     if kind == "table":
-        pairs = tuple((int(k), int(v)) for k, v in obj.get("pairs", []))
-        return Table(pairs, int(obj.get("default", 0)))
+        pairs = obj.get("pairs", [])
+        if not isinstance(pairs, (list, tuple)) or not all(
+                isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs):
+            raise ValueError("oracle pairs must be a list of [key, value] lists")
+        return Table(tuple((_json_int(k, "key"), _json_int(v, "value")) for k, v in pairs),
+                     _json_int(obj.get("default", 0), "default"))
     raise ValueError(f"unknown oracle kind {kind!r}")
+
+
+def _json_int(x: object, what: str) -> int:
+    # bool is a subclass of int, and int() would truncate 2.5 or parse "3"
+    if type(x) is not int:
+        raise ValueError(f"oracle {what} must be an integer, got {x!r}")
+    return x
 
 
 def oracle_from_string(spec: str) -> OracleSpec:

@@ -169,6 +169,43 @@ def test_verify_corpus_directory(wt, capsys, tmp_path):
     assert obj["reports"][1]["seed"] == 4
 
 
+@pytest.mark.parametrize("command, source", [
+    ("eval", "succ (alpha 2)"),
+    ("modulus", FF2),
+])
+def test_negative_oracle_is_a_usage_error(wt, capsys, command, source):
+    assert run(capsys, command, wt("t.wt", source), "--oracle", "constant:-1") == (
+        2, "", "writ: oracle value must be a natural, got -1\n")
+
+
+@pytest.mark.parametrize("source", [
+    '{"kind":"constant"}',
+    '{"kind":"constant","value":null}',
+    '{"kind":"constant","value":true}',
+    '{"kind":"constant","value":2.5}',
+    '{"kind":"table","pairs":5}',
+    '{"kind":"table","pairs":[[0,-9]]}',
+])
+def test_malformed_oracle_file_is_a_usage_error(wt, capsys, tmp_path, source):
+    oracle = tmp_path / "oracle.json"
+    oracle.write_text(source, encoding="utf-8")
+    code, out, err = run(capsys, "modulus", wt("ff2.wt", FF2), "--oracle", str(oracle))
+    assert (code, out) == (2, "")
+    assert err.startswith("writ: ")
+
+
+def test_verify_corpus_reports_a_negative_oracle(wt, capsys, tmp_path):
+    wt("a.wt", f"-- analyses: modulus(constant:-2)\n{FF2}")
+    wt("b.wt", f"-- analyses: cost\n{REC3}")
+    code, out, err = run(capsys, "verify", "--corpus", str(tmp_path), "--text")
+    assert (code, err) == (1, "")
+    assert out.splitlines() == [
+        "a.wt: modulus(constant:-2): fail (bad oracle: oracle value must be a natural, got -2)",
+        "b.wt: cost: pass",
+        "failures = 1",
+    ]
+
+
 def test_verify_text_mode(wt, capsys):
     path = wt("rec3.wt", f"-- analyses: cost\n{REC3}")
     code, out, _ = run(capsys, "verify", path, "--text")

@@ -60,6 +60,7 @@ from writ import (
     with_oracle,
 )
 from writ.engine import _APP, _COM, _INC, _LAM, _LEFT, _PAIR, _RIGHT, EXACT_CONS, _flatten
+from writ.parser import _Token
 from writ.syntax import Lit, literal_spine
 
 SEARCH = f"({SEARCH_TEMPLATE})"
@@ -99,6 +100,20 @@ def test_pair_helpers():
     p = spair(3, Base(9))
     assert p == SPair(Eff(3), Base(9))
     assert pair_parts(p) == (3, Base(9))
+
+
+def test_value_semantics():
+    assert Base(3) == Base(3) and hash(Base(3)) == hash(Base(3))
+    assert Eff(3) != Base(3)
+    assert spair(1, Base(2)) == SPair(Eff(1), Base(2))
+    assert hash(spair(1, Base(2))) == hash(SPair(Eff(1), Base(2)))
+    f = SFun(lambda v: v)
+    assert f == f and f != SFun(f.fn)
+    # slotted and not frozen, which would cost a __setattr__ call per field
+    # on every build
+    for v in (Eff(3), Base(3), SPair(Eff(1), Base(2)), f, _Token("num", "3", 0)):
+        assert not hasattr(v, "__dict__")
+        assert type(v).__setattr__ is object.__setattr__
 
 
 def test_shape_guards():

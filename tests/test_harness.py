@@ -265,6 +265,18 @@ def test_run_corpus_survives_an_unreadable_file(tmp_path):
     assert reports[1].details.startswith("IsADirectoryError: ")
 
 
+def test_run_corpus_reports_a_negative_oracle_and_runs_the_rest(tmp_path):
+    _write(tmp_path, "a_neg.wt", f"-- analyses: modulus(identity),modulus(constant:-2)\n{FF2}\n")
+    _write(tmp_path, "b_mod.wt", f"-- analyses: modulus(constant:5)\n{FF2}\n")
+    reports = run_corpus(tmp_path, trials=5)
+    assert [(r.term_id, r.analysis, r.passed) for r in reports] == [
+        ("a_neg.wt", "modulus(identity)", True),
+        ("a_neg.wt", "modulus(constant:-2)", False),
+        ("b_mod.wt", "modulus(constant:5)", True),
+    ]
+    assert reports[1].details == "bad oracle: oracle value must be a natural, got -2"
+
+
 def test_run_corpus_deterministic(tmp_path):
     _write(tmp_path, "m.wt", f"-- analyses: modulus(constant:5)\n{FF2}\n")
     assert run_corpus(tmp_path, trials=20, seed=9) == run_corpus(

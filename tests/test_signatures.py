@@ -220,6 +220,37 @@ def test_oracle_string_forms():
         oracle_from_string("table:0")
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Constant(-1),
+    lambda: Table(((-1, 2),)),
+    lambda: Table(((1, -2),)),
+    lambda: Table(((1, 2),), default=-3),
+    lambda: oracle_from_string("constant:-1"),
+    lambda: oracle_from_string("table:0=-9"),
+    lambda: oracle_from_json('{"kind":"table","pairs":[[-1,0]]}'),
+])
+def test_oracles_are_natural(make):
+    with pytest.raises(ValueError, match="must be a natural"):
+        make()
+
+
+@pytest.mark.parametrize("source", [
+    '{"kind":"constant"}',
+    '{"kind":"constant","value":null}',
+    '{"kind":"constant","value":true}',
+    '{"kind":"constant","value":2.5}',
+    '{"kind":"constant","value":"3"}',
+    '{"kind":"table","pairs":5}',
+    '{"kind":"table","pairs":[[1]]}',
+    '{"kind":"table","pairs":[[1,2,3]]}',
+    '{"kind":"table","pairs":[[1,false]]}',
+    '{"kind":"table","pairs":[[1,2]],"default":1.0}',
+])
+def test_oracle_json_rejects_malformed_shapes(source):
+    with pytest.raises(ValueError):
+        oracle_from_json(source)
+
+
 def test_oracle_label_round_trips():
     for g in (Identity(), Constant(12), Table(((2, 2), (5, 0)), default=1)):
         back = oracle_from_string(oracle_label(g))
