@@ -455,15 +455,21 @@ class Constant(OracleSpec):
 @dataclass(frozen=True)
 class Table(OracleSpec):
     """Finite table with a default for every unlisted argument; keys and
-    values are naturals."""
+    values are naturals, and no key appears twice."""
 
     pairs: tuple[tuple[int, int], ...]
     default: int = 0
 
     def __post_init__(self) -> None:
+        # one test per pair on the good path: the modulus check builds a
+        # table for every perturbation trial
+        seen = set()
         for k, v in self.pairs:
-            _check_natural(k, "key")
-            _check_natural(v, "value")
+            if k < 0 or v < 0 or k in seen:
+                _check_natural(k, "key")
+                _check_natural(v, "value")
+                raise ValueError(f"oracle table repeats key {k}")
+            seen.add(k)
         _check_natural(self.default, "default")
 
     def __call__(self, n: int) -> int:
@@ -508,7 +514,8 @@ def _json_int(x: object, what: str) -> int:
 def oracle_from_string(spec: str) -> OracleSpec:
     """Parse the inline oracle syntax.
 
-    Accepted forms: "identity", "constant:K", "table:k=v,k=v[,default=D]".
+    Accepted forms: "identity", "constant:K", "table:k=v,k=v[,default=D]";
+    each key, and default, appears at most once.
     """
     spec = spec.strip()
     if spec == "identity":
@@ -517,17 +524,19 @@ def oracle_from_string(spec: str) -> OracleSpec:
         return Constant(int(spec.removeprefix("constant:")))
     if spec.startswith("table:"):
         pairs: list[tuple[int, int]] = []
-        default = 0
+        default = None
         body = spec.removeprefix("table:")
         for piece in filter(None, (p.strip() for p in body.split(","))):
             key, _, val = piece.partition("=")
             if not _:
                 raise ValueError(f"bad table entry {piece!r}")
-            if key.strip() == "default":
+            if key.strip() != "default":
+                pairs.append((int(key), int(val)))
+            elif default is None:
                 default = int(val)
             else:
-                pairs.append((int(key), int(val)))
-        return Table(tuple(pairs), default)
+                raise ValueError("oracle table repeats default")
+        return Table(tuple(pairs), default or 0)
     raise ValueError(f"unknown oracle spec {spec!r}")
 
 

@@ -185,6 +185,7 @@ def test_negative_oracle_is_a_usage_error(wt, capsys, command, source):
     '{"kind":"constant","value":2.5}',
     '{"kind":"table","pairs":5}',
     '{"kind":"table","pairs":[[0,-9]]}',
+    '{"kind":"table","pairs":[[2,5],[2,7]]}',
 ])
 def test_malformed_oracle_file_is_a_usage_error(wt, capsys, tmp_path, source):
     oracle = tmp_path / "oracle.json"
@@ -192,6 +193,18 @@ def test_malformed_oracle_file_is_a_usage_error(wt, capsys, tmp_path, source):
     code, out, err = run(capsys, "modulus", wt("ff2.wt", FF2), "--oracle", str(oracle))
     assert (code, out) == (2, "")
     assert err.startswith("writ: ")
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("table:2=5,2=7", "oracle table repeats key 2"),
+    ("table:default=1,default=4", "oracle table repeats default"),
+])
+def test_repeated_oracle_entry_is_a_usage_error(wt, capsys, spec, message):
+    path = wt("ff2.wt", FF2)
+    assert run(capsys, "modulus", path, "--oracle", spec) == (2, "", f"writ: {message}\n")
+    path = wt("a.wt", f"-- analyses: modulus({spec})\n{FF2}")
+    assert run(capsys, "verify", path, "--text") == (
+        1, f"a.wt: modulus({spec}): fail (bad oracle: {message})\nfailures = 1\n", "")
 
 
 def test_verify_corpus_reports_a_negative_oracle(wt, capsys, tmp_path):
@@ -217,6 +230,12 @@ def test_verify_needs_a_target(capsys):
     code, _, err = run(capsys, "verify")
     assert code == 2
     assert "file or --corpus" in err
+
+
+def test_verify_takes_a_file_or_a_corpus_not_both(wt, capsys, tmp_path):
+    path = wt("rec3.wt", f"-- analyses: cost\n{REC3}")
+    assert run(capsys, "verify", path, "--corpus", str(tmp_path)) == (
+        2, "", "writ: verify takes a file or --corpus, not both\n")
 
 
 def test_missing_file(capsys):
@@ -278,9 +297,33 @@ def test_unknown_command(capsys):
     assert run(capsys, "frobnicate", "x.wt")[0] == 2
 
 
-def test_help_exits_zero(capsys):
-    assert run(capsys, "--help")[0] == 0
-    assert run(capsys, "eval", "--help")[0] == 0
+COMMAND_HELP = {
+    "check": "typecheck a term and print its type",
+    "eval": "evaluate a term, printing value and exact step count",
+    "translate": "print the effect-instrumented form and its type",
+    "modulus": "continuity modulus of a (Nat->Nat)->Nat term (needs --oracle)",
+    "cost": "predicted exact step count",
+    "bound": "step and size bounds over the list fragment",
+    "majorize": "a numeral dominating the term's value",
+    "verify": "replay the annotated analyses of a file (or --corpus dir)",
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_HELP)
+def test_help_exits_zero(capsys, command):
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0
+    assert out.startswith(f"usage: writ {command} ")
+
+
+def test_top_level_help_names_every_command(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # argparse wraps help to the terminal width
+    code, out, _ = run(capsys, "--help")
+    assert code == 0
+    words = " ".join(out.split())
+    assert "{" + ",".join(COMMAND_HELP) + "}" in words
+    for command, text in COMMAND_HELP.items():
+        assert f" {command} {text} " in words + " "
 
 
 def test_main_entry_raises_system_exit(wt, capsys):

@@ -1,7 +1,8 @@
 """The CLI's byte contract on the shipped corpus.
 
 tests/golden_cli.json holds one sha256 per (corpus file, command) pair,
-over the command's stdout, stderr and exit code. Replaying the commands
+over the command's stdout, stderr and exit code. Each command is pinned in
+its default JSON form and in its `--text` form. Replaying the commands
 in-process must reproduce every hash, so any change to what the CLI prints
 for a corpus file shows up here. To rebuild the file after an intended
 change, run from the root of the checkout:
@@ -11,7 +12,7 @@ change, run from the root of the checkout:
 `writ translate` prints each shared subterm of a translation in full, so
 on some files it prints 1 to 150 MB and takes seconds; a replay of all of
 them would take minutes. A translation longer than LARGE characters is not
-pinned: the file holds no `translate` hash for it.
+pinned: the file holds no `translate` or `translate --text` hash for it.
 """
 
 from __future__ import annotations
@@ -31,23 +32,26 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "corpus"
 GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 COMMANDS = {
-    "check": (),
-    "eval": (),
-    "translate": (),
-    "cost": (),
-    "bound": (),
-    "majorize": (),
-    "modulus": ("--oracle", "identity"),
+    "check": ("check",),
+    "eval": ("eval",),
+    "translate": ("translate",),
+    "cost": ("cost",),
+    "bound": ("bound",),
+    "majorize": ("majorize",),
+    "modulus": ("modulus", "--oracle", "identity"),
 }
+COMMANDS |= {f"{key} --text": (*argv, "--text") for key, argv in COMMANDS.items()}
+TRANSLATE = {"translate", "translate --text"}
 LARGE = 1 << 20
 FILES = sorted(CORPUS.glob("*.wt"))
 
 
-def run(command: str, path: Path) -> tuple[str, str, int]:
+def run(key: str, path: Path) -> tuple[str, str, int]:
     """stdout, stderr and exit code of one in-process command."""
+    command, *flags = COMMANDS[key]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, str(path), *COMMANDS[command]])
+        code = main([command, str(path), *flags])
     return out.getvalue(), err.getvalue(), code
 
 
@@ -60,17 +64,18 @@ def compute() -> dict[str, dict[str, str]]:
     golden = {}
     for path in FILES:
         golden[path.name] = {}
-        for command in COMMANDS:
-            result = run(command, path)
-            if command != "translate" or len(result[0]) <= LARGE:
-                golden[path.name][command] = digest(result)
+        for key in COMMANDS:
+            result = run(key, path)
+            if key not in TRANSLATE or len(result[0]) <= LARGE:
+                golden[path.name][key] = digest(result)
     return golden
 
 
 def test_golden_covers_the_corpus():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(golden) == [p.name for p in FILES]
-    assert all(set(COMMANDS) - {"translate"} <= set(cmds) <= set(COMMANDS)
+    assert all(set(COMMANDS) - TRANSLATE <= set(cmds) <= set(COMMANDS)
+               and ("translate" in cmds) == ("translate --text" in cmds)
                for cmds in golden.values())
 
 

@@ -245,10 +245,23 @@ def test_oracles_are_natural(make):
     '{"kind":"table","pairs":[[1,2,3]]}',
     '{"kind":"table","pairs":[[1,false]]}',
     '{"kind":"table","pairs":[[1,2]],"default":1.0}',
+    '{"kind":"table","pairs":[[2,5],[2,7]]}',
 ])
 def test_oracle_json_rejects_malformed_shapes(source):
     with pytest.raises(ValueError):
         oracle_from_json(source)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Table(((2, 5), (2, 7))),
+    lambda: Table(((0, 1), (3, 1), (0, 1))),
+    lambda: oracle_from_string("table:2=5,2=7"),
+    lambda: oracle_from_string("table:default=1,default=4"),
+    lambda: oracle_from_string("table:0=1,default=0,default=0"),
+])
+def test_oracle_tables_reject_repeats(make):
+    with pytest.raises(ValueError, match="repeats"):
+        make()
 
 
 def test_oracle_label_round_trips():
