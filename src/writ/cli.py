@@ -57,9 +57,10 @@ def _load_oracle(spec: Optional[str]) -> Optional[OracleSpec]:
 
 
 def _file(args: argparse.Namespace) -> Path:
-    path = Path(args.file) if args.file else None
-    if path is None or not path.is_file():
-        raise ParseError(f"no such file: {path}")
+    path = Path(args.file)
+    if not path.is_file():
+        # an empty argument would read as the current directory, "."
+        raise ParseError(f"no such file: {path if args.file else repr(args.file)}")
     return path
 
 

@@ -29,7 +29,6 @@ from typing import Callable, Iterable, Optional
 
 from .errors import FuelExhausted, ShapeMismatch, TypeMismatch, UnsupportedSymbol
 from .engine import (
-    _SEARCH_DEPTH,
     COST,
     EXACT_CONS,
     QUERIES,
@@ -187,6 +186,12 @@ def continuity_inst(g: OracleSpec, fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
 
 # ---------------------------------------------------------------- exact cost
 
+# depth guard for the host-level search recursion, generous for desk-scale
+# searches; each round takes several host frames, so under CPython's default
+# recursion limit RecursionError fires long before this does
+_SEARCH_DEPTH = 2000
+
+
 def _exact_bar(fuel: Fuel, ext: SemVal) -> SemVal:
     """Step-exact denotation of the search combinator, given ext's.
 
@@ -329,9 +334,10 @@ def modulus(
     """Support and modulus of a closed type-two term applied to the oracle g.
 
     The term must live in the numeral-recursion fragment (no oracle symbol
-    inside, no search combinator) and have type (Nat->Nat)->Nat. The modulus
-    is one past the largest queried position, or zero when nothing is
-    queried.
+    inside, no search combinator) and have type (Nat->Nat)->Nat. It is
+    applied to the instantiation's own alpha, which reads g and logs each
+    query. The modulus is one past the largest queried position, or zero
+    when nothing is queried.
     """
     sig = system_t()
     ty = typecheck(sig, {}, e)
@@ -339,10 +345,7 @@ def modulus(
         raise TypeMismatch(render_type(_TYPE_TWO), render_type(ty), render_term(e))
     active = inst if inst is not None else continuity_inst(g, fuel)
     den = denote(active, {}, translate(sig, {}, e))
-    oracle_sem = spair(
-        (), SFun(lambda n: spair((as_base(n).value,), Base(g(as_base(n).value))))
-    )
-    support_raw, out = pair_parts(compose(active, den, oracle_sem))
+    support_raw, out = pair_parts(compose(active, den, spair((), active.func("alpha"))))
     support = tuple(support_raw)
     phi = max(support) + 1 if support else 0
     return ModulusReport(phi=phi, support=support, predicted_value=as_base(out).value)

@@ -161,54 +161,39 @@ class Signature:
             return len(self._cons[name].args)
         return self.func_decl(name).arity
 
+    def extend(self, name: str, functions: Mapping[str, FuncDecl]) -> "Signature":
+        """A signature called name with these function symbols added."""
+        return Signature(name, self.datatypes, self._cons, {**self._funcs, **functions},
+                         self._families)
+
 
 # ---------------------------------------------------------------- recursors
 
 @lru_cache(maxsize=None)
 def _family_decl(name: str) -> FuncDecl:
     """The member of a recursor family named rec[t] or fold[t], with its
-    index type parsed once per name."""
+    index type parsed once per name.
+
+    rec[t] : t -> (Nat -> t -> t) -> Nat -> t recurses on the numeral, and
+    fold[t] : t -> (Nat -> t -> t) -> List -> t on the list. Both have one
+    rule for the empty case and one that hands the step the last numeral z
+    and the recursion on the rest.
+    """
     kind, index = _FAMILY_RE.match(name).groups()
-    index_ty = parse_type(index)
-    return _rec_decl(index_ty) if kind == "rec" else _fold_decl(index_ty)
-
-
-@lru_cache(maxsize=None)
-def _rec_decl(index: Ty) -> FuncDecl:
-    """rec[t] : t -> (Nat -> t -> t) -> Nat -> t, recursion on the numeral."""
-    sym = Func(f"rec[{render_type(index)}]")
-    step_ty = Arrow(NAT, Arrow(index, index))
-    ty = Arrow(index, Arrow(step_ty, Arrow(NAT, index)))
-    x, y, z = Var("x"), Var("y"), Var("z")
+    t = parse_type(index)
+    sym = Func(f"{kind}[{render_type(t)}]")
+    step_ty = Arrow(NAT, Arrow(t, t))
+    z = PVar("z", NAT)
+    if kind == "rec":
+        arg_ty, empty, split, rest = NAT, "zero", PCons("succ", (z,)), "z"
+    else:
+        arg_ty, empty, split, rest = LIST, "nil", PCons("cons", (PVar("zs", LIST), z)), "zs"
+    x, y = PVar("x", t), PVar("y", step_ty)
     rules = (
-        Rule((PVar("x", index), PVar("y", step_ty), PCons("zero", ())), x),
-        Rule(
-            (PVar("x", index), PVar("y", step_ty), PCons("succ", (PVar("z", NAT),))),
-            app(y, z, app(sym, x, y, z)),
-        ),
+        Rule((x, y, PCons(empty, ())), Var("x")),
+        Rule((x, y, split), app(Var("y"), Var("z"), app(sym, Var("x"), Var("y"), Var(rest)))),
     )
-    return FuncDecl(ty, rules)
-
-
-@lru_cache(maxsize=None)
-def _fold_decl(index: Ty) -> FuncDecl:
-    """fold[t] : t -> (Nat -> t -> t) -> List -> t, recursion on the list."""
-    sym = Func(f"fold[{render_type(index)}]")
-    step_ty = Arrow(NAT, Arrow(index, index))
-    ty = Arrow(index, Arrow(step_ty, Arrow(LIST, index)))
-    x, y, z, zs = Var("x"), Var("y"), Var("z"), Var("zs")
-    rules = (
-        Rule((PVar("x", index), PVar("y", step_ty), PCons("nil", ())), x),
-        Rule(
-            (
-                PVar("x", index),
-                PVar("y", step_ty),
-                PCons("cons", (PVar("zs", LIST), PVar("z", NAT))),
-            ),
-            app(y, z, app(sym, x, y, zs)),
-        ),
-    )
-    return FuncDecl(ty, rules)
+    return FuncDecl(Arrow(t, Arrow(step_ty, Arrow(arg_ty, t))), rules)
 
 
 # ---------------------------------------------------------------- builtins
@@ -349,7 +334,6 @@ _RHO3 = Arrow(LIST, Arrow(Arrow(NAT, NAT), NAT))
 
 def bar_rec() -> Signature:
     """system_t_list plus ext and the two-stage search combinator bar/bar1."""
-    base = system_t_list()
     f, g, h, xs = (
         PVar("f", _RHO1),
         PVar("g", _RHO2),
@@ -383,21 +367,11 @@ def bar_rec() -> Signature:
             ),
         ),
     )
-    functions = dict(base._funcs)
-    functions.update(
-        {
-            "ext": FuncDecl(Arrow(LIST, Arrow(NAT, NAT)), BUILTINS["ext"]),
-            "bar": FuncDecl(bar_ty, (bar_rule,)),
-            "bar1": FuncDecl(bar1_ty, bar1_rules),
-        }
-    )
-    return Signature(
-        name="bar_rec",
-        datatypes=base.datatypes,
-        constructors=base._cons,
-        functions=functions,
-        families=base._families,
-    )
+    return system_t_list().extend("bar_rec", {
+        "ext": FuncDecl(Arrow(LIST, Arrow(NAT, NAT)), BUILTINS["ext"]),
+        "bar": FuncDecl(bar_ty, (bar_rule,)),
+        "bar1": FuncDecl(bar1_ty, bar1_rules),
+    })
 
 
 def with_oracle(sig: Signature, g: "OracleSpec") -> Signature:
@@ -408,17 +382,9 @@ def with_oracle(sig: Signature, g: "OracleSpec") -> Signature:
     def delta(args: Sequence[int]) -> int:
         return g(args[0])
 
-    functions = dict(sig._funcs)
-    functions["alpha"] = FuncDecl(
-        Arrow(NAT, NAT), Builtin("alpha", 1, delta, is_oracle=True)
-    )
-    return Signature(
-        name=f"{sig.name}+oracle",
-        datatypes=sig.datatypes,
-        constructors=sig._cons,
-        functions=functions,
-        families=sig._families,
-    )
+    return sig.extend(f"{sig.name}+oracle", {
+        "alpha": FuncDecl(Arrow(NAT, NAT), Builtin("alpha", 1, delta, is_oracle=True)),
+    })
 
 
 # ---------------------------------------------------------------- oracles
@@ -484,9 +450,11 @@ def oracle_from_json(source: str | Mapping) -> OracleSpec:
 
     Shapes: {"kind":"identity"}, {"kind":"constant","value":K},
     {"kind":"table","pairs":[[k,v],...],"default":D}, with K, k, v and D
-    natural JSON integers; any other shape raises ValueError.
+    natural JSON integers; any other shape, or a member named twice in one
+    object, raises ValueError.
     """
-    obj = json.loads(source) if isinstance(source, str) else source
+    obj = (json.loads(source, object_pairs_hook=_unique_members)
+           if isinstance(source, str) else source)
     if not isinstance(obj, Mapping):
         raise ValueError("oracle JSON must be an object")
     kind = obj.get("kind")
@@ -502,6 +470,16 @@ def oracle_from_json(source: str | Mapping) -> OracleSpec:
         return Table(tuple((_json_int(k, "key"), _json_int(v, "value")) for k, v in pairs),
                      _json_int(obj.get("default", 0), "default"))
     raise ValueError(f"unknown oracle kind {kind!r}")
+
+
+def _unique_members(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    # json.loads alone would keep the last of two members with one name
+    obj: dict[str, Any] = {}
+    for name, value in pairs:
+        if name in obj:
+            raise ValueError(f"oracle JSON repeats member {name!r}")
+        obj[name] = value
+    return obj
 
 
 def _json_int(x: object, what: str) -> int:

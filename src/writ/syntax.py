@@ -1,9 +1,8 @@
-"""Types, terms, patterns, and the value grammar of the object language.
+"""Types, terms, patterns, and typing of the object language.
 
-Terms are immutable trees. A value is a closed term of restricted shape;
-see is_value. The evaluator computes on host forms of values and reads its
-result back as such a term; substitute and match_pattern give the rewriting
-semantics it must agree with. A numeral or list literal is one node, Lit,
+Terms are immutable trees. The evaluator computes on host forms of values
+and reads its result back as a closed term, substituting the values a
+closure holds into its lambda. A numeral or list literal is one node, Lit,
 holding its Python int or tuple of ints: it stands for the closed constructor
 spine zero/succ or nil/cons, and fold_literal turns such a spine, built one
 application at a time, into the node.
@@ -26,7 +25,7 @@ __all__ = [
     "app", "spine", "free_vars", "symbols",
     "numeral", "numeral_value", "list_term", "list_value", "fold_literal", "literal_spine",
     "render_type", "render_term",
-    "substitute", "match_pattern", "is_value", "typecheck",
+    "substitute", "typecheck",
 ]
 
 
@@ -302,73 +301,6 @@ def substitute(t: Term, binding: Mapping[str, Term]) -> Term:
     if fun is t.fun and arg is t.arg:
         return t
     return fold_literal(App(fun, arg))
-
-
-# ---------------------------------------------------------------- matching
-
-def match_pattern(
-    patterns: tuple[Pattern, ...] | list[Pattern],
-    values: tuple[Term, ...] | list[Term],
-) -> Optional[dict[str, Term]]:
-    """Match a vector of values against a vector of patterns.
-
-    Returns the substitution on success, None on mismatch. Patterns are
-    linear, so assignments never clash.
-    """
-    if len(patterns) != len(values):
-        return None
-    out: dict[str, Term] = {}
-    for p, v in zip(patterns, values):
-        if not _match_one(p, v, out):
-            return None
-    return out
-
-
-def _match_one(p: Pattern, v: Term, out: dict[str, Term]) -> bool:
-    if isinstance(p, PVar):
-        out[p.name] = v
-        return True
-    head, args = spine(_unfold_literal(v) if isinstance(v, Lit) else v)
-    return (
-        isinstance(head, Cons)
-        and head.name == p.cons
-        and len(args) == len(p.args)
-        and all(_match_one(q, a, out) for q, a in zip(p.args, args))
-    )
-
-
-# ---------------------------------------------------------------- values
-
-def is_value(sig: "Signature", t: Term) -> bool:
-    """Decide the value grammar.
-
-    Values are: constructors applied to at most their arity, function symbols
-    applied to strictly fewer arguments than their arity (all arguments again
-    values), and lambdas whose body has no free variable beyond the binder.
-    """
-    # iterative for the same reason as free_vars
-    todo: list[Term] = [t]
-    while todo:
-        s = todo.pop()
-        if isinstance(s, Var):
-            return False
-        if isinstance(s, Lit):
-            continue
-        if isinstance(s, Lam):
-            if not free_vars(s.body) <= {s.var}:
-                return False
-            continue
-        head, args = spine(s)
-        if isinstance(head, Cons):
-            if len(args) > sig.arity(head.name):
-                return False
-        elif isinstance(head, Func):
-            if len(args) >= sig.arity(head.name):
-                return False
-        else:
-            return False
-        todo.extend(args)
-    return True
 
 
 # ---------------------------------------------------------------- typing

@@ -6,24 +6,33 @@ every intermediate result is checked against the value grammar again. That
 makes it quadratic in the step count, so only small inputs go through it.
 Every value it builds is folded (syntax.fold_literal), so a constructor
 spine over literals is a literal, as the machine reads its values back.
-Builtins compute on the literals' host values.
+Builtins compute on the literals' host values. A value is a closed term of
+restricted shape (is_value), and a rule fires on the values that match its
+patterns (match_pattern).
 """
 
 from __future__ import annotations
+
+from typing import Optional
 
 from writ.errors import FuelExhausted, StuckTerm
 from writ.evaluator import DEFAULT_FUEL, EvalResult, Fuel
 from writ.signatures import Builtin, Signature
 from writ.syntax import (
     App,
+    Cons,
     Func,
     Lam,
+    Lit,
+    Pattern,
+    PVar,
     Term,
+    Var,
+    _unfold_literal,
     fold_literal,
-    is_value,
+    free_vars,
     list_term,
     list_value,
-    match_pattern,
     numeral,
     numeral_value,
     render_term,
@@ -31,6 +40,69 @@ from writ.syntax import (
     substitute,
     typecheck,
 )
+
+
+def match_pattern(
+    patterns: tuple[Pattern, ...] | list[Pattern],
+    values: tuple[Term, ...] | list[Term],
+) -> Optional[dict[str, Term]]:
+    """Match a vector of values against a vector of patterns.
+
+    Returns the substitution on success, None on mismatch. Patterns are
+    linear, so assignments never clash.
+    """
+    if len(patterns) != len(values):
+        return None
+    out: dict[str, Term] = {}
+    for p, v in zip(patterns, values):
+        if not _match_one(p, v, out):
+            return None
+    return out
+
+
+def _match_one(p: Pattern, v: Term, out: dict[str, Term]) -> bool:
+    if isinstance(p, PVar):
+        out[p.name] = v
+        return True
+    head, args = spine(_unfold_literal(v) if isinstance(v, Lit) else v)
+    return (
+        isinstance(head, Cons)
+        and head.name == p.cons
+        and len(args) == len(p.args)
+        and all(_match_one(q, a, out) for q, a in zip(p.args, args))
+    )
+
+
+def is_value(sig: Signature, t: Term) -> bool:
+    """Decide the value grammar.
+
+    Values are: constructors applied to at most their arity, function symbols
+    applied to strictly fewer arguments than their arity (all arguments again
+    values), and lambdas whose body has no free variable beyond the binder.
+    """
+    # iterative: values read back into terms can be deep
+    todo: list[Term] = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, Var):
+            return False
+        if isinstance(s, Lit):
+            continue
+        if isinstance(s, Lam):
+            if not free_vars(s.body) <= {s.var}:
+                return False
+            continue
+        head, args = spine(s)
+        if isinstance(head, Cons):
+            if len(args) > sig.arity(head.name):
+                return False
+        elif isinstance(head, Func):
+            if len(args) >= sig.arity(head.name):
+                return False
+        else:
+            return False
+        todo.extend(args)
+    return True
 
 
 def _host(t: Term):

@@ -11,6 +11,8 @@ import random
 import time
 from pathlib import Path
 
+from reference_eval import is_value
+from reference_pure import pure_denote
 from writ import (
     DEFAULT_FUEL,
     GAMMA,
@@ -24,14 +26,12 @@ from writ import (
     continuity_inst,
     denote,
     evaluate,
-    is_value,
     lift,
     majorant,
     meta_typecheck,
     numeral_value,
     pair_parts,
     parse_term,
-    pure_denote,
     render_type,
     signature_for,
     symbols,

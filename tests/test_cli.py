@@ -186,6 +186,8 @@ def test_negative_oracle_is_a_usage_error(wt, capsys, command, source):
     '{"kind":"table","pairs":5}',
     '{"kind":"table","pairs":[[0,-9]]}',
     '{"kind":"table","pairs":[[2,5],[2,7]]}',
+    '{"kind":"table","pairs":[[2,5]],"default":1,"default":4}',
+    '{"kind":"table","kind":"constant","value":3}',
 ])
 def test_malformed_oracle_file_is_a_usage_error(wt, capsys, tmp_path, source):
     oracle = tmp_path / "oracle.json"
@@ -238,10 +240,12 @@ def test_verify_takes_a_file_or_a_corpus_not_both(wt, capsys, tmp_path):
         2, "", "writ: verify takes a file or --corpus, not both\n")
 
 
-def test_missing_file(capsys):
-    code, _, err = run(capsys, "eval", "/nonexistent/term.wt")
-    assert code == 2
-    assert "no such file" in err
+@pytest.mark.parametrize("path, shown", [
+    ("/nonexistent/term.wt", "/nonexistent/term.wt"),
+    ("", "''"),
+])
+def test_missing_file(capsys, path, shown):
+    assert run(capsys, "eval", path) == (2, "", f"writ: no such file: {shown}\n")
 
 
 def test_fuel_exhaustion_exit_code(wt, capsys):

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from reference_denote import reference_denote
 from reference_eval import reference_evaluate
+from reference_pure import pure_denote
 from term_strategies import FUNCTIONAL, N2N, NAT2, closed_terms
 from test_engine import SHAPES, CountingDict
 from writ import (
@@ -77,7 +78,6 @@ from writ import (
     numeral,
     numeral_value,
     parse_term,
-    pure_denote,
     recursor,
     render_semval,
     render_term,

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 from reference_denote import reference_denote
+from reference_pure import pure_denote
 
 from writ import (
     COST,
@@ -51,7 +52,6 @@ from writ import (
     numeral,
     pair_parts,
     parse_term,
-    pure_denote,
     render_semval,
     spair,
     system_t,

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference_eval import is_value
 from writ import (
     Constant,
     Fuel,
@@ -19,7 +20,6 @@ from writ import (
     bar_rec,
     evaluate,
     evaluate_with_oracle,
-    is_value,
     list_value,
     numeral,
     numeral_value,

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference_pure import pure_denote
 from writ import (
     BOUND,
     COST,
@@ -39,7 +40,6 @@ from writ import (
     numeral_value,
     pair_parts,
     parse_term,
-    pure_denote,
     recursor,
     semantic_join,
     signature_for,

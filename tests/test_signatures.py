@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from reference_eval import match_pattern
 from writ import (
     NAT,
     Arrow,
@@ -19,7 +20,6 @@ from writ import (
     app,
     bar_rec,
     list_term,
-    match_pattern,
     numeral,
     oracle_from_json,
     oracle_from_string,
@@ -246,6 +246,8 @@ def test_oracles_are_natural(make):
     '{"kind":"table","pairs":[[1,false]]}',
     '{"kind":"table","pairs":[[1,2]],"default":1.0}',
     '{"kind":"table","pairs":[[2,5],[2,7]]}',
+    '{"kind":"table","pairs":[[2,5]],"default":1,"default":4}',
+    '{"kind":"table","kind":"constant","value":3}',
 ])
 def test_oracle_json_rejects_malformed_shapes(source):
     with pytest.raises(ValueError):

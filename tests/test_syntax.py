@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from reference_eval import is_value, match_pattern
 from writ import (
     NAT,
     App,
@@ -21,10 +22,8 @@ from writ import (
     app,
     bar_rec,
     free_vars,
-    is_value,
     list_term,
     list_value,
-    match_pattern,
     numeral,
     numeral_value,
     parse_term,
