@@ -142,11 +142,11 @@ def _majorize(args: argparse.Namespace) -> _Result:
 
 
 def _verify(args: argparse.Namespace) -> _Result:
-    if args.file and args.corpus:
+    if args.file is not None and args.corpus:
         raise ParseError("verify takes a file or --corpus, not both")
     if args.corpus:
         reports = run_corpus(Path(args.corpus), args.fuel, args.trials, args.seed)
-    elif args.file:
+    elif args.file is not None:
         reports = verify_file(_file(args), args.fuel, args.trials, args.seed)
     else:
         raise ParseError("verify needs a file or --corpus")

@@ -7,19 +7,22 @@ EffectTriple (an empty effect, a one-step extension, and a three-way
 combination). The value classes are slotted dataclasses, immutable by
 convention rather than frozen, since the analyses build several per
 recursor stage. Swapping the triple and the symbol interpretations changes
-the analysis without touching the interpreter. denote runs the top level
-and each closure's body as a loop over its nodes, and builds each literal
-leaf once per call by folding the instantiation's constructors. When it
-flattens a scope into that loop it resolves the translation's
-administrative redexes: a projection of a pair built in the scope reads the
-component, and an application of a lambda built in the scope runs the body
-inline. So no pair, closure or call is made for them at run time, while
-every effect, application and symbol read still runs once, in order.
+the analysis without touching the interpreter. denote flattens the top
+level and each closure's body into a list of entries, and compiles each
+list once into a cached host function with one statement per entry rather
+than running a loop over its nodes. It builds each literal leaf once per
+call by folding the instantiation's constructors. When it flattens a scope
+it resolves the translation's administrative redexes: a projection of a
+pair built in the scope reads the component, and an application of a
+lambda built in the scope runs the body inline. So no pair, closure or call
+is made for them at run time, while every effect, application and symbol
+read still runs once, in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, TypeAlias
 
@@ -364,6 +367,98 @@ def _literal(inst: "Instantiation", value: "int | tuple[int, ...]") -> SemVal:
     return SPair(Eff(c), v)
 
 
+_MISSING = object()  # what a scope gives for a name it does not bind
+
+
+def _unbound(name: str) -> SemVal:
+    raise MetaTypeMismatch(f"unbound meta variable {name!r} at interpretation time")
+
+
+# the names a compiled scope's source reads besides its values v<n>, its
+# leaves K[<n>] and its factory's parameters (the leaves, and the helpers of
+# one denote call)
+_HELPERS = {"Eff": Eff, "SPair": SPair, "SFun": SFun, "as_eff": as_eff, "as_pair": as_pair,
+            "as_fun": as_fun, "MISSING": _MISSING, "unbound": _unbound}
+
+# opcodes whose value has a known class, which a reader of it need not check
+_KNOWN = {_IOTA: "Eff", _COM: "Eff", _INC: "Eff", _PAIR: "SPair", _LIT: "SPair", _LAM: "SFun"}
+
+
+def _compile(code: list[tuple], root: int) -> tuple[str, tuple]:
+    """The source of a factory for one flattened scope, and the leaves it
+    reads: one statement per entry, in the list's order, then the root's
+    value.
+
+    The source holds only opcodes and positions: every name, symbol, lambda
+    and literal node is a leaf, read from K, so scopes of one shape with
+    other names or literal values have the same source. A value read for
+    its shape is checked with the as_* guard, and so fails with the same
+    error, unless the entry that made it fixes its class.
+    """
+    leaves: list = []
+    lines = ["def factory(K, iota, com, inc, cons, func, closure, literals, literal):",
+             " def run(scope):"]
+    emit = lines.append
+
+    def leaf(x: object) -> str:
+        leaves.append(x)
+        return f"K[{len(leaves) - 1}]"
+
+    def read(i: int, cls: str, guard: str) -> str:
+        if _KNOWN.get(code[i][0]) == cls:
+            return f"v{i}"
+        return f"(v{i} if type(v{i}) is {cls} else {guard}(v{i}))"
+
+    for n, (op, x, y, z) in enumerate(code):
+        v = f"  v{n} = "
+        if op == _APP:
+            emit(f"{v}{read(x, 'SFun', 'as_fun')}.fn(v{y})")
+        elif op == _COM:
+            emit(f"{v}Eff(com({read(x, 'Eff', 'as_eff')}.amount, "
+                 f"{read(y, 'Eff', 'as_eff')}.amount, {read(z, 'Eff', 'as_eff')}.amount))")
+        elif op == _VAR:
+            name = leaf(x.name)
+            emit(f"{v}scope.get({name}, MISSING)")
+            emit(f"  if v{n} is MISSING: unbound({name})")
+        elif op == _INC:
+            emit(f"{v}Eff(inc({read(x, 'Eff', 'as_eff')}.amount))")
+        elif op == _PAIR:
+            emit(f"{v}SPair(v{x}, v{y})")
+        elif op == _IOTA:
+            emit(f"{v}iota")
+        elif op == _CONS:
+            emit(f"{v}cons({leaf(x.symbol)})")
+        elif op == _FUNC:
+            emit(f"{v}func({leaf(x.symbol)})")
+        elif op == _RIGHT:
+            emit(f"{v}{read(x, 'SPair', 'as_pair')}.snd")
+        elif op == _LEFT:
+            emit(f"{v}{read(x, 'SPair', 'as_pair')}.fst")
+        elif op == _LAM:
+            # a lambda built in an inlined body takes the values bound there
+            # along
+            captures = "".join(f", {leaf(name)}: v{i}" for name, i in y)
+            emit(f"{v}closure({leaf(x)}, {{**scope{captures}}})" if y
+                 else f"{v}closure({leaf(x)}, scope)")
+        else:
+            node = leaf(x)
+            emit(f"{v}literals.get(id({node}))")
+            emit(f"  if v{n} is None: v{n} = literal({node})")
+    emit(f"  return v{root}")
+    emit(" return run")
+    return "\n".join(lines), tuple(leaves)
+
+
+# the shipped corpus and the benchmark's families compile 42 shapes between
+# them, so every one of them stays compiled
+@lru_cache(maxsize=256)
+def _factory(source: str) -> Callable[..., Callable[[SemEnv], SemVal]]:
+    """The factory a scope's source defines, compiled once per source text."""
+    namespace = dict(_HELPERS)
+    exec(compile(source, "<writ scope>", "exec"), namespace)
+    return namespace["factory"]
+
+
 def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     """Interpret a metalanguage term under an instantiation.
 
@@ -374,77 +469,48 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     administrative redexes statically (see _flatten): a projection of a pair
     built in the same scope reads the component, and an application of a
     lambda built in the same scope runs the lambda's body inline, so no
-    pair, closure or call is made for them at run time. A run of a scope is
-    a plain loop, linear in its list, whose values live only as long as the
-    run; the host recurses only where one closure's run calls another. A
-    literal leaf is built once per call, where a run first reaches it,
-    however often the lambda around it is applied.
+    pair, closure or call is made for them at run time. Each list is then
+    compiled into a host function with one statement per entry (see
+    _compile); a cache keyed by its source text, which holds no names or
+    literal values, keeps the recent shapes compiled across calls. So a run
+    of a scope executes no loop over its nodes; its values live only as
+    long as the run, and the host recurses only where one closure's run
+    calls another. A literal leaf is built once per call, where a run first
+    reaches it, however often the lambda around it is applied.
 
-    The lists and literal values are kept as long as the value denote
-    returns, or any function taken from it, is alive: such a function runs
-    its body after denote has returned, with the same tables, and goes on
-    filling them. That is sound because the instantiation is fixed for the
-    call.
+    The compiled scopes and literal values are kept as long as the value
+    denote returns, or any function taken from it, is alive: such a
+    function runs its body after denote has returned, with the same
+    tables, and goes on filling them. That is sound because the
+    instantiation is fixed for the call.
     """
     eff = inst.effect
     iota = Eff(eff.eps)
     # keyed by node id, for this call and the functions it returns
-    codes: dict[int, tuple[list[tuple], int]] = {}  # a lambda body's list and root
+    runs: dict[int, Callable[[SemEnv], SemVal]] = {}  # a lambda body's compiled run
     literals: dict[int, SemVal] = {}  # a literal leaf's value
+
+    def literal(node: M.MLit) -> SemVal:
+        v = literals[id(node)] = _literal(inst, node.value)
+        return v
+
+    def compiled(scope_root: M.MetaTerm) -> Callable[[SemEnv], SemVal]:
+        source, leaves = _compile(*_flatten(scope_root))
+        return _factory(source)(leaves, iota, eff.com, eff.inc, inst.cons, inst.func,
+                                closure, literals, literal)
 
     def closure(lam: M.MLam, scope: SemEnv) -> SFun:
         body, var = lam.body, lam.var
 
         def call(a: SemVal) -> SemVal:
-            code = codes.get(id(body))
-            if code is None:
-                code = codes[id(body)] = _flatten(body)
-            return run(*code, {**scope, var: a})
+            run = runs.get(id(body))
+            if run is None:
+                run = runs[id(body)] = compiled(body)
+            return run({**scope, var: a})
 
         return SFun(call)
 
-    def run(code: list[tuple], root: int, scope: SemEnv) -> SemVal:
-        vals: list[SemVal] = []
-        push = vals.append
-        for op, x, y, z in code:
-            if op == _APP:
-                push(as_fun(vals[x]).fn(vals[y]))
-            elif op == _COM:
-                push(Eff(eff.com(as_eff(vals[x]).amount, as_eff(vals[y]).amount,
-                                 as_eff(vals[z]).amount)))
-            elif op == _VAR:
-                try:
-                    push(scope[x.name])
-                except KeyError:
-                    raise MetaTypeMismatch(
-                        f"unbound meta variable {x.name!r} at interpretation time"
-                    ) from None
-            elif op == _INC:
-                push(Eff(eff.inc(as_eff(vals[x]).amount)))
-            elif op == _PAIR:
-                push(SPair(vals[x], vals[y]))
-            elif op == _IOTA:
-                push(iota)
-            elif op == _CONS:
-                push(inst.cons(x.symbol))
-            elif op == _FUNC:
-                push(inst.func(x.symbol))
-            elif op == _RIGHT:
-                push(as_pair(vals[x]).snd)
-            elif op == _LEFT:
-                push(as_pair(vals[x]).fst)
-            elif op == _LAM:
-                # a lambda built in an inlined body takes the values bound
-                # there along
-                push(closure(x, {**scope, **{name: vals[i] for name, i in y}} if y else scope))
-            else:
-                v = literals.get(id(x))
-                if v is None:
-                    v = literals[id(x)] = _literal(inst, x.value)
-                push(v)
-        return vals[root]
-
-    return run(*_flatten(mt), dict(env))
+    return compiled(mt)(dict(env))
 
 
 def compose(inst: Instantiation, f: SemVal, a: SemVal) -> SemVal:

@@ -246,6 +246,8 @@ def test_verify_takes_a_file_or_a_corpus_not_both(wt, capsys, tmp_path):
 ])
 def test_missing_file(capsys, path, shown):
     assert run(capsys, "eval", path) == (2, "", f"writ: no such file: {shown}\n")
+    # verify tells an empty path from no path at all
+    assert run(capsys, "verify", path) == (2, "", f"writ: no such file: {shown}\n")
 
 
 def test_fuel_exhaustion_exit_code(wt, capsys):

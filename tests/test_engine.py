@@ -1,8 +1,12 @@
 """Semantic domains, the metalanguage interpreter, and the plain semantics."""
 
+import io
+import re
 import sys
+import tokenize
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from reference_denote import reference_denote
@@ -15,6 +19,7 @@ from writ import (
     TRIVIAL,
     Base,
     BaseList,
+    Com,
     Constant,
     Eff,
     EffectTriple,
@@ -57,13 +62,19 @@ from writ import (
     system_t,
     system_t_list,
     translate,
+    verify_file,
     with_oracle,
 )
+from writ import engine
 from writ.engine import _APP, _COM, _INC, _LAM, _LEFT, _PAIR, _RIGHT, EXACT_CONS, _flatten
 from writ.parser import _Token
 from writ.syntax import Lit, literal_spine
 
 SEARCH = f"({SEARCH_TEMPLATE})"
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
+# a binder name that would end a string and run code if it were ever
+# spliced into a compiled scope's source
+EVIL = "x'); import os #"
 
 
 class CountingDict(dict):
@@ -343,15 +354,16 @@ NAT_TY = MData("Nat")
 
 
 def _agrees_with_reference(mt, env=None):
-    """denote and the unreduced reference give the same outcome on mt."""
+    """denote and the unreduced reference give the same outcome on mt, an
+    error with the same text; the value, or the error's class."""
     def outcome(run):
         try:
             return render_semval(run(cost_exact_inst(), dict(env or {}), mt))
         except WritError as err:
-            return type(err).__name__
+            return type(err).__name__, str(err)
     got = outcome(denote)
     assert got == outcome(reference_denote)
-    return got
+    return got[0] if type(got) is tuple else got
 
 
 @pytest.mark.parametrize("mt, want", [
@@ -360,9 +372,22 @@ def _agrees_with_reference(mt, env=None):
     (MVar("x"), 7),
     (MLit(3), [0, 3]),
     (ProjR(MApp(ProjR(MPair(IOTA, MLam("y", NAT_TY, MPair(IOTA, MVar("y"))))), MVar("x"))), 7),
+    (ProjR(MApp(ProjR(MPair(IOTA, MLam(EVIL, NAT_TY, MPair(IOTA, MVar(EVIL))))),
+                MLit(4))), [0, 4]),
 ])
 def test_hand_built_roots(mt, want):
     assert _agrees_with_reference(mt, {"x": Base(7)}) == want
+
+
+@pytest.mark.parametrize("mt", [
+    ProjR(IOTA),
+    Inc(MLit(1)),
+    MApp(IOTA, IOTA),
+    Com(IOTA, MLit(1), IOTA),
+    ProjL(MLam("y", NAT_TY, IOTA)),
+])
+def test_ill_shaped_roots_raise_the_reference_mismatch(mt):
+    assert _agrees_with_reference(mt) == "ShapeMismatch"
 
 
 def test_unbound_meta_variable_still_raises():
@@ -425,3 +450,84 @@ def test_a_symbol_body_flattens_to_its_redex_free_core():
     assert not [e for e in code if e[0] in (_LEFT, _RIGHT) and code[e[1]][0] == _PAIR]
     assert ops.count(_APP) == 1 and ops.count(_COM) == 1 and ops.count(_INC) == 1
     assert len(code) == 7
+
+
+# ---------------------------------------------------------------- compiling
+
+def test_compiled_scopes_are_shared_across_names_and_sizes():
+    exact_cost(parse_term("rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 5"))
+    before = engine._factory.cache_info()
+    report = exact_cost(parse_term("rec[Nat] 0 (fn m:Nat => fn q:Nat => succ q) 900"))
+    assert report.semantic == Base(900)
+    after = engine._factory.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits
+
+
+def test_the_compiled_scope_cache_stays_at_its_size():
+    size = engine._factory.cache_info().maxsize
+    for k in range(size + 8):
+        mt = IOTA
+        for _ in range(k):
+            mt = Inc(mt)
+        assert render_semval(denote(cost_exact_inst(), {}, mt)) == k
+    assert engine._factory.cache_info().currsize == size
+
+
+FACTORY = "def factory(K, iota, com, inc, cons, func, closure, literals, literal):"
+# the names a compiled scope's body may read besides v<n> and K[<n>]
+_SOURCE_NAMES = {
+    "def", "return", "if", "is", "else", "None", "type", "id",  # Python's own
+    "run", "scope",  # the function the factory makes, and its argument
+    "iota", "com", "inc", "cons", "func", "closure", "literals", "literal",
+    *engine._HELPERS, "get", "fn", "amount", "fst", "snd",
+}
+_SOURCE_OPS = {"(", ")", "[", "]", "{", "}", ",", ".", ":", "=", "**"}
+
+
+def _check_source(source):
+    header, body = source.split("\n", 1)
+    assert header == FACTORY
+    tokens = [t for t in tokenize.generate_tokens(io.StringIO(body).readline)
+              if t.type not in (tokenize.NEWLINE, tokenize.NL, tokenize.INDENT,
+                                tokenize.DEDENT, tokenize.ENDMARKER)]
+    for i, tok in enumerate(tokens):
+        if tok.string == "K":
+            assert [t.string for t in tokens[i + 1:i + 4:2]] == ["[", "]"], tok
+            assert tokens[i + 2].type == tokenize.NUMBER, tok
+        elif tok.type == tokenize.NAME:
+            assert tok.string in _SOURCE_NAMES or re.fullmatch(r"v\d+", tok.string), tok
+        elif tok.type == tokenize.NUMBER:
+            assert tok.string.isdigit(), tok
+        else:
+            assert tok.type == tokenize.OP and tok.string in _SOURCE_OPS, tok
+
+
+@pytest.fixture
+def sources(monkeypatch):
+    """Every scope source denote compiles while the test runs."""
+    seen = []
+    compile_scope = engine._compile
+
+    def recording(code, root):
+        source, leaves = compile_scope(code, root)
+        seen.append(source)
+        return source, leaves
+
+    monkeypatch.setattr(engine, "_compile", recording)
+    return seen
+
+
+def test_compiled_sources_hold_no_term_text(sources):
+    for path in sorted(CORPUS.glob("*.wt")):
+        assert all(r.passed for r in verify_file(path, trials=2)), path.name
+    # a free variable, and a capture that a closure's body reads, named EVIL
+    assert render_semval(denote(cost_exact_inst(), {EVIL: Base(4)},
+                                MPair(IOTA, MVar(EVIL)))) == [0, 4]
+    captures = MApp(ProjR(MPair(IOTA, MLam(EVIL, NAT_TY, MLam("z", NAT_TY, MPair(
+        IOTA, MVar(EVIL)))))), MLit(4))
+    f = denote(cost_exact_inst(), {}, captures)
+    assert render_semval(as_fun(f).fn(Base(0))) == [0, [0, 4]]
+    assert len(sources) > 100
+    for source in sources:
+        assert EVIL not in source
+        _check_source(source)
