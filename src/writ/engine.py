@@ -10,7 +10,10 @@ recursor stage. Swapping the triple and the symbol interpretations changes
 the analysis without touching the interpreter. denote flattens the top
 level and each closure's body into a list of entries, and compiles each
 list once into a cached host function with one statement per entry rather
-than running a loop over its nodes. It builds each literal leaf once per
+than running a loop over its nodes. Closures are flat: a body's function
+takes the values it reads from the scopes around it by position, ahead of
+its argument, so a closure is that function with those values bound, and a
+call of it is one host frame. denote builds each literal leaf once per
 call by folding the instantiation's constructors. When it flattens a scope
 it resolves the translation's administrative redexes: a projection of a
 pair built in the scope reads the component, and an application of a
@@ -22,7 +25,7 @@ read still runs once, in order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import Callable, Mapping, TypeAlias
 
@@ -205,21 +208,62 @@ class Instantiation:
 
 # ---------------------------------------------------------------- interpreter
 
-_RIGHT, _LEFT, _PAIR, _APP, _COM, _INC, _IOTA, _VAR, _LAM, _CONS, _FUNC, _LIT = range(12)
+_RIGHT, _LEFT, _PAIR, _APP, _COM, _INC, _IOTA, _VAR, _LAM, _CONS, _FUNC, _LIT, _ARG = range(13)
 
 # each node kind's opcode; from _IOTA on, the node is a leaf of its scope (a
-# lambda's body is a scope of its own unless it is inlined)
+# lambda's body is a scope of its own unless it is inlined). _ARG, a
+# parameter of a closure's body, has no node kind
 _OPS: dict[type, int] = {
     M.ProjR: _RIGHT, M.ProjL: _LEFT, M.MPair: _PAIR, M.MApp: _APP, M.Com: _COM,
     M.Inc: _INC, M.Iota: _IOTA, M.MVar: _VAR, M.MLam: _LAM, M.BCons: _CONS,
     M.BFunc: _FUNC, M.MLit: _LIT,
 }
 
+_NO_NAMES: frozenset[str] = frozenset()
 
-def _flatten(root: M.MetaTerm) -> tuple[list[tuple], int]:
+
+def _free_names(root: M.MetaTerm, free: dict[int, frozenset[str]]) -> frozenset[str]:
+    """The names root reads that no binder inside it binds, found by a
+    children-first loop that memoizes every node under root in free, by
+    id."""
+    todo: list = [root]
+    pop, push, extend, children = todo.pop, todo.append, todo.extend, M.children
+    while todo:
+        node = pop()
+        if type(node) is tuple:  # a node whose children are done
+            node, kids = node
+            names = _NO_NAMES
+            for kid in kids:
+                more = free[id(kid)]
+                if more:
+                    names = names | more if names else more
+            if type(node) is M.MLam and node.var in names:
+                names = names - {node.var}
+            free[id(node)] = names
+        elif id(node) not in free:
+            kids = children(node)
+            if kids:
+                push((node, kids))
+                extend(kids)
+            else:
+                free[id(node)] = frozenset((node.name,)) if type(node) is M.MVar else _NO_NAMES
+    return free[id(root)]
+
+
+def _flatten(
+    root: M.MetaTerm,
+    params: tuple[str, ...] = (),
+    free: dict[int, frozenset[str]] | None = None,
+    cells: dict[tuple[int, tuple[str, ...]], list] | None = None,
+) -> tuple[list[tuple], int]:
     """One scope as a children-first list of entries, and the position of
     the root's value in it, with the translation's administrative redexes
     resolved on the way.
+
+    The list starts with an _ARG entry for each of params, the names a
+    closure's body takes as its parameters; a variable of one of them
+    resolves to its position. Any other variable no binder in the scope
+    binds gets a _VAR entry, which reads denote's environment by name.
 
     Each node resolves either to a position in the list or to a static
     value: a pair (_PAIR, left, right), or a lambda (_LAM, lam, env) with
@@ -229,10 +273,15 @@ def _flatten(root: M.MetaTerm) -> tuple[list[tuple], int]:
     the binder bound to the argument, with a memo of its own; a variable
     bound there resolves to what it is bound to. A static value gets an
     entry only where a value is needed at run time: as an operand of any
-    other node, or as the root. A lambda's entry captures the static
-    bindings it was built under. A lambda is not inlined inside its own
+    other node, or as the root. A lambda is not inlined inside its own
     inlined body, which bounds the inlining on any term, typed or not; that
     application calls a closure instead.
+
+    A lambda's entry makes a closure. It captures the bindings of env that
+    the lambda reads (see _free_names), in env's order, by position. Its
+    first operand is the lambda's cell in cells, [compiled body or None,
+    lam, captured names], one for each lambda and captured names; its
+    second is the captured positions. free memoizes _free_names.
 
     Every other node gets one entry per scope or inlined body (the empty
     effect one per scope), a shared node once, in the order a left-to-right
@@ -241,17 +290,24 @@ def _flatten(root: M.MetaTerm) -> tuple[list[tuple], int]:
     call runs as often, and in the same order, as when each lambda's body
     ran as a scope at each call. Each entry is an opcode and three
     operands: positions in the list, or the node itself when it has no
-    children (a lambda's second operand is its captures, pairs of a name
-    and a position).
+    children.
     """
-    code: list[tuple] = []
+    code: list[tuple] = [(_ARG, name, None, None) for name in params]
     emit = code.append
+    free = {} if free is None else free
+    cells = {} if cells is None else cells
     made: dict[int, tuple] = {}  # id of a static value -> (it, its position)
     inlining: set[int] = set()  # ids of the lambdas whose bodies are being inlined
     iota = None  # the position of the scope's one empty effect
 
     def position(v) -> int:
         return v if type(v) is int else made[id(v)][1]
+
+    def captured(lam: tuple) -> tuple[str, ...]:
+        if not lam[2]:
+            return ()
+        reads = _free_names(lam[1], free)
+        return tuple(name for name in lam[2] if name in reads)
 
     def place(v) -> int:
         """The position of v's value, giving v, and any static value it
@@ -264,7 +320,7 @@ def _flatten(root: M.MetaTerm) -> tuple[list[tuple], int]:
             if id(w) in made:
                 todo.pop()
                 continue
-            parts = w[1:] if w[0] == _PAIR else w[2].values()
+            parts = w[1:] if w[0] == _PAIR else [w[2][name] for name in captured(w)]
             waiting = [p for p in parts if type(p) is not int and id(p) not in made]
             if waiting:
                 todo += waiting
@@ -274,14 +330,18 @@ def _flatten(root: M.MetaTerm) -> tuple[list[tuple], int]:
             if w[0] == _PAIR:
                 emit((_PAIR, position(w[1]), position(w[2]), None))
             else:
-                captures = tuple((name, position(p)) for name, p in w[2].items())
-                emit((_LAM, w[1], captures, None))
+                names = captured(w)
+                key = (id(w[1]), names)
+                cell = cells.get(key)
+                if cell is None:
+                    cell = cells[key] = [None, w[1], names]
+                emit((_LAM, cell, tuple(position(w[2][name]) for name in names), None))
         return made[id(v)][1]
 
     # the memo of the scope or inlined body being flattened (node id -> its
     # position or static value), and its static bindings
     at: dict[int, object] = {}
-    env: dict[str, object] = {}
+    env: dict[str, object] = {name: i for i, name in enumerate(params)}
     top = at
     # nodes to visit, (op, node, children) to finish once the children are
     # resolved, and (application, lambda, memo, bindings) to finish an
@@ -342,43 +402,61 @@ def _flatten(root: M.MetaTerm) -> tuple[list[tuple], int]:
     return code, place(top[id(root)])
 
 
+# the constructors a literal's spine applies
+_SPINE = ("zero", "succ", "nil", "cons")
+
+
 def _literal(inst: "Instantiation", value: "int | tuple[int, ...]") -> SemVal:
     """What the translation of the literal's constructor spine denotes: each
     application of a constructor takes its interpretation to the value so
     far, and combines the empty effect, the effect so far and the empty
     effect of the call. The interpretations are read as the spine's run
-    would read them."""
+    would read them, one read per application."""
     eps, com = inst.effect.eps, inst.effect.com
+    table = inst.cons_interp
 
     def numeral(n: int) -> tuple[object, SemVal]:
-        c, v = eps, inst.cons("zero")
+        c, v = eps, table["zero"]
         for _ in range(n):
-            c, v = com(eps, c, eps), as_fun(inst.cons("succ")).fn(v)
+            f = table["succ"]
+            c, v = com(eps, c, eps), (f if type(f) is SFun else as_fun(f)).fn(v)
         return c, v
 
-    if type(value) is int:
-        c, v = numeral(value)
-    else:
-        c, v = eps, inst.cons("nil")
-        for n in value:
-            c_n, v_n = numeral(n)
-            c = com(com(eps, c, eps), c_n, eps)
-            v = as_fun(as_fun(inst.cons("cons")).fn(v)).fn(v_n)
+    try:
+        if type(value) is int:
+            c, v = numeral(value)
+        else:
+            c, v = eps, table["nil"]
+            for n in value:
+                c_n, v_n = numeral(n)
+                c = com(com(eps, c, eps), c_n, eps)
+                f = table["cons"]
+                f = (f if type(f) is SFun else as_fun(f)).fn(v)
+                v = (f if type(f) is SFun else as_fun(f)).fn(v_n)
+    except KeyError as err:
+        symbol = err.args[0] if err.args else None
+        if symbol in _SPINE and symbol not in table:
+            raise MissingInterpretation(symbol, f"not in {inst.name}") from None
+        raise
     return SPair(Eff(c), v)
 
 
-_MISSING = object()  # what a scope gives for a name it does not bind
+_MISSING = object()  # what the environment gives for a name it does not bind
 
 
 def _unbound(name: str) -> SemVal:
     raise MetaTypeMismatch(f"unbound meta variable {name!r} at interpretation time")
 
 
+def _malformed(message: str, *args: SemVal) -> SemVal:
+    raise MetaTypeMismatch(message)
+
+
 # the names a compiled scope's source reads besides its values v<n>, its
 # leaves K[<n>] and its factory's parameters (the leaves, and the helpers of
 # one denote call)
 _HELPERS = {"Eff": Eff, "SPair": SPair, "SFun": SFun, "as_eff": as_eff, "as_pair": as_pair,
-            "as_fun": as_fun, "MISSING": _MISSING, "unbound": _unbound}
+            "as_fun": as_fun, "partial": partial, "MISSING": _MISSING, "unbound": _unbound}
 
 # opcodes whose value has a known class, which a reader of it need not check
 _KNOWN = {_IOTA: "Eff", _COM: "Eff", _INC: "Eff", _PAIR: "SPair", _LIT: "SPair", _LAM: "SFun"}
@@ -386,18 +464,23 @@ _KNOWN = {_IOTA: "Eff", _COM: "Eff", _INC: "Eff", _PAIR: "SPair", _LIT: "SPair",
 
 def _compile(code: list[tuple], root: int) -> tuple[str, tuple]:
     """The source of a factory for one flattened scope, and the leaves it
-    reads: one statement per entry, in the list's order, then the root's
-    value.
+    reads: a function of the scope's parameters, v0 to v<k-1> for its k
+    _ARG entries, with one statement per other entry, in the list's order,
+    then the root's value.
 
-    The source holds only opcodes and positions: every name, symbol, lambda
+    The source holds only opcodes and positions: every name, symbol, cell
     and literal node is a leaf, read from K, so scopes of one shape with
     other names or literal values have the same source. A value read for
     its shape is checked with the as_* guard, and so fails with the same
-    error, unless the entry that made it fixes its class.
+    error, unless the entry that made it fixes its class. A lambda's entry
+    makes a closure, an SFun over the body's function with the captured
+    values bound in front of its argument: a call of it is one call of that
+    function.
     """
     leaves: list = []
-    lines = ["def factory(K, iota, com, inc, cons, func, closure, literals, literal):",
-             " def run(scope):"]
+    params = ", ".join(f"v{n}" for n, entry in enumerate(code) if entry[0] == _ARG)
+    lines = ["def factory(K, iota, com, inc, cons, func, literals, literal, body, env):",
+             f" def run({params}):"]
     emit = lines.append
 
     def leaf(x: object) -> str:
@@ -418,7 +501,7 @@ def _compile(code: list[tuple], root: int) -> tuple[str, tuple]:
                  f"{read(y, 'Eff', 'as_eff')}.amount, {read(z, 'Eff', 'as_eff')}.amount))")
         elif op == _VAR:
             name = leaf(x.name)
-            emit(f"{v}scope.get({name}, MISSING)")
+            emit(f"{v}env.get({name}, MISSING)")
             emit(f"  if v{n} is MISSING: unbound({name})")
         elif op == _INC:
             emit(f"{v}Eff(inc({read(x, 'Eff', 'as_eff')}.amount))")
@@ -435,12 +518,12 @@ def _compile(code: list[tuple], root: int) -> tuple[str, tuple]:
         elif op == _LEFT:
             emit(f"{v}{read(x, 'SPair', 'as_pair')}.fst")
         elif op == _LAM:
-            # a lambda built in an inlined body takes the values bound there
-            # along
-            captures = "".join(f", {leaf(name)}: v{i}" for name, i in y)
-            emit(f"{v}closure({leaf(x)}, {{**scope{captures}}})" if y
-                 else f"{v}closure({leaf(x)}, scope)")
-        else:
+            # the body is compiled when the first closure over it is built
+            cell = leaf(x)
+            fn = f"{cell}[0] or body({cell})"
+            emit(f"{v}SFun(partial({fn}, {', '.join(f'v{i}' for i in y)}))" if y
+                 else f"{v}SFun({fn})")
+        elif op == _LIT:
             node = leaf(x)
             emit(f"{v}literals.get(id({node}))")
             emit(f"  if v{n} is None: v{n} = literal({node})")
@@ -449,10 +532,10 @@ def _compile(code: list[tuple], root: int) -> tuple[str, tuple]:
     return "\n".join(lines), tuple(leaves)
 
 
-# the shipped corpus and the benchmark's families compile 42 shapes between
+# the shipped corpus and the benchmark's families compile 48 shapes between
 # them, so every one of them stays compiled
 @lru_cache(maxsize=256)
-def _factory(source: str) -> Callable[..., Callable[[SemEnv], SemVal]]:
+def _factory(source: str) -> Callable[..., Callable[..., SemVal]]:
     """The factory a scope's source defines, compiled once per source text."""
     namespace = dict(_HELPERS)
     exec(compile(source, "<writ scope>", "exec"), namespace)
@@ -463,20 +546,30 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     """Interpret a metalanguage term under an instantiation.
 
     The top level and the body of each lambda that becomes a closure are
-    scopes, each flattened at most once per call (a body when it first
-    runs) into a list in which a shared node appears once (sound because
-    SemVal functions are pure). The flattener resolves the translation's
-    administrative redexes statically (see _flatten): a projection of a pair
-    built in the same scope reads the component, and an application of a
-    lambda built in the same scope runs the lambda's body inline, so no
-    pair, closure or call is made for them at run time. Each list is then
-    compiled into a host function with one statement per entry (see
-    _compile); a cache keyed by its source text, which holds no names or
-    literal values, keeps the recent shapes compiled across calls. So a run
-    of a scope executes no loop over its nodes; its values live only as
-    long as the run, and the host recurses only where one closure's run
-    calls another. A literal leaf is built once per call, where a run first
-    reaches it, however often the lambda around it is applied.
+    scopes, each flattened into a list in which a shared node appears once
+    (sound because SemVal functions are pure). The flattener resolves the
+    translation's administrative redexes statically (see _flatten): a
+    projection of a pair built in the same scope reads the component, and
+    an application of a lambda built in the same scope runs the lambda's
+    body inline, so no pair, closure or call is made for them at run time.
+    Each list is then compiled into a flat host function with one statement
+    per entry (see _compile); a cache keyed by its source text, which holds
+    no names or literal values, keeps the recent shapes compiled across
+    calls. So a run of a scope executes no loop over its nodes, and its
+    values live only as long as the run.
+
+    Closures are flat (closure conversion): a lambda's body is compiled
+    once per call of denote and per set of captured names, when the first
+    closure over it is built, into a function whose parameters are the
+    values the body reads from the scopes around it, by position, then its
+    argument. A closure is that function with its captured values bound,
+    so a call of it is one host frame, and the host recurses only where
+    one closure's run calls another. Only a name that no binder binds is
+    read by name, from env, where the body reads it, so an unbound one
+    raises there. A body whose flattening fails raises at each call of its
+    closures, as it would if it were flattened at its first call. A literal
+    leaf is built once per call, where a run first reaches it, however
+    often the lambda around it is applied.
 
     The compiled scopes and literal values are kept as long as the value
     denote returns, or any function taken from it, is alive: such a
@@ -486,31 +579,31 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     """
     eff = inst.effect
     iota = Eff(eff.eps)
+    env = dict(env)
     # keyed by node id, for this call and the functions it returns
-    runs: dict[int, Callable[[SemEnv], SemVal]] = {}  # a lambda body's compiled run
     literals: dict[int, SemVal] = {}  # a literal leaf's value
+    free: dict[int, frozenset[str]] = {}  # the names a node reads and does not bind
+    cells: dict[tuple[int, tuple[str, ...]], list] = {}  # see _flatten
 
     def literal(node: M.MLit) -> SemVal:
         v = literals[id(node)] = _literal(inst, node.value)
         return v
 
-    def compiled(scope_root: M.MetaTerm) -> Callable[[SemEnv], SemVal]:
-        source, leaves = _compile(*_flatten(scope_root))
+    def compiled(root: M.MetaTerm, params: tuple[str, ...]) -> Callable[..., SemVal]:
+        source, leaves = _compile(*_flatten(root, params, free, cells))
         return _factory(source)(leaves, iota, eff.com, eff.inc, inst.cons, inst.func,
-                                closure, literals, literal)
+                                literals, literal, body, env)
 
-    def closure(lam: M.MLam, scope: SemEnv) -> SFun:
-        body, var = lam.body, lam.var
+    def body(cell: list) -> Callable[..., SemVal]:
+        _, lam, captured = cell
+        try:
+            fn = compiled(lam.body, (*captured, lam.var))
+        except MetaTypeMismatch as err:
+            fn = partial(_malformed, str(err))
+        cell[0] = fn
+        return fn
 
-        def call(a: SemVal) -> SemVal:
-            run = runs.get(id(body))
-            if run is None:
-                run = runs[id(body)] = compiled(body)
-            return run({**scope, var: a})
-
-        return SFun(call)
-
-    return compiled(mt)(dict(env))
+    return compiled(mt, ())()
 
 
 def compose(inst: Instantiation, f: SemVal, a: SemVal) -> SemVal:

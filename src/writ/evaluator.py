@@ -330,9 +330,10 @@ def evaluate_typed(sig: Signature, e: Term, fuel: Fuel = DEFAULT_FUEL) -> EvalRe
 
 def oracle_runner(
     sig: Signature, e: Term, fuel: Fuel = DEFAULT_FUEL
-) -> Callable[[OracleSpec], EvalResult]:
-    """A function taking each oracle g to evaluate_typed(with_oracle(sig, g),
-    e, fuel), with e and every rule it reaches compiled once for all of them.
+) -> Callable[[Callable[[int], int]], EvalResult]:
+    """A function taking each oracle g, any function on naturals, to
+    evaluate_typed(with_oracle(sig, g), e, fuel), with e and every rule it
+    reaches compiled once for all of them.
 
     alpha's delta reads the oracle from a cell that each call sets before
     it runs the code."""
@@ -340,7 +341,7 @@ def oracle_runner(
     machine = _Machine(with_oracle(sig, lambda n: current[0](n)), fuel)
     code = machine.compile(e, ())
 
-    def run(g: OracleSpec) -> EvalResult:
+    def run(g: Callable[[int], int]) -> EvalResult:
         current[0] = g
         machine.steps = 0
         machine.queries = []

@@ -15,7 +15,7 @@ import random
 import re
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .engine import (
     Base,
@@ -43,7 +43,6 @@ from .parser import parse_term
 from .signatures import (
     OracleSpec,
     Signature,
-    Table,
     bar_rec,
     oracle_from_string,
     oracle_label,
@@ -150,6 +149,12 @@ def verify_exact_cost(
 
 # ---------------------------------------------------------------- modulus
 
+def _listed(answers: list[int]) -> Callable[[int], int]:
+    """The oracle answering n with answers[n], and zero past their end."""
+    size = len(answers)
+    return lambda n: answers[n] if n < size else 0
+
+
 def verify_modulus(
     e: Term,
     g: OracleSpec,
@@ -206,12 +211,11 @@ def verify_modulus(
             break
         count = rng.randint(1, min(4, len(mutable)))
         chosen = sorted(rng.sample(mutable, count))
-        pairs = tuple(
-            (j, a + 1 + rng.randrange(5) if j in chosen else a)
-            for j, a in enumerate(answers)
-        )
+        perturbed = answers.copy()
+        for j in chosen:
+            perturbed[j] += 1 + rng.randrange(5)
         try:
-            res_m = run(Table(pairs, default=0))
+            res_m = run(_listed(perturbed))
         except WritError as err:
             return _fail(term_id, analysis, _err(err),
                          {**evidence, "mutated_positions": chosen}, trials, seed)

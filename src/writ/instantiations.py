@@ -35,10 +35,12 @@ from .engine import (
     TRIVIAL,
     Base,
     BaseList,
+    Eff,
     EffectTriple,
     Instantiation,
     SemVal,
     SFun,
+    SPair,
     as_base,
     as_fun,
     as_list,
@@ -141,14 +143,28 @@ def recursor(
     """
 
     def run(base: SemVal, step: SemVal, arg: SemVal) -> SemVal:
-        c = eff.inc(eff.eps)
+        inc, com, limit = eff.inc, eff.com, fuel.max_steps
+        # a step that is no function fails at the first stage, as the guard
+        # on each stage would fail it
+        fn = step.fn if type(step) is SFun else lambda i: as_fun(step).fn(i)
+        c = inc(eff.eps)
         cur = result = base
         for k, i in enumerate(indices(arg)):
-            if k == fuel.max_steps:
-                raise FuelExhausted(fuel.max_steps)
-            c_step, applied = pair_parts(as_fun(step).fn(Base(i)))
-            c_call, out = pair_parts(as_fun(applied).fn(cur))
-            c = eff.inc(eff.com(c_step, c, c_call))
+            if k == limit:
+                raise FuelExhausted(limit)
+            # each pair is read inline, and through the guards when its
+            # shape is off, so that every mismatch keeps its text
+            p = fn(Base(i))
+            if type(p) is SPair and type(p.fst) is Eff:
+                c_step, applied = p.fst.amount, p.snd
+            else:
+                c_step, applied = pair_parts(p)
+            p = (applied if type(applied) is SFun else as_fun(applied)).fn(cur)
+            if type(p) is SPair and type(p.fst) is Eff:
+                c_call, out = p.fst.amount, p.snd
+            else:
+                c_call, out = pair_parts(p)
+            c = inc(com(c_step, c, c_call))
             if envelope:
                 cur, result = out, join(result, out)
             else:

@@ -52,12 +52,15 @@ from writ import (
     cost_bounded_inst,
     cost_exact_inst,
     denote,
+    evaluate,
     exact_cost,
+    majorant,
     majorizability_inst,
     numeral,
     pair_parts,
     parse_term,
     render_semval,
+    signature_for,
     spair,
     system_t,
     system_t_list,
@@ -438,6 +441,101 @@ def test_deep_chains_need_no_host_recursion(wrap):
     assert isinstance(out, SPair)
 
 
+def test_function_valued_rec_calls_each_closure_in_one_host_frame():
+    # the recursor's value is a chain of 900 closures, each calling the one
+    # before; at two host frames a call, both analyses ran out of stack
+    # from a chain of 500
+    t = parse_term("rec[Nat->Nat] (fn x:Nat => x) "
+                   "(fn n:Nat => fn p:Nat->Nat => fn x:Nat => p x) 900 0")
+    steps = evaluate(signature_for(t), t).steps
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        report, bound = exact_cost(t), majorant(t)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert (report.predicted, report.semantic) == (steps, Base(0))
+    assert bound == Base(0)
+
+
+def _outcome(run, mt, env, calls):
+    """What run (denote or the reference) makes of mt under env, then what
+    each of calls makes of the values so far, rendered, or the class and
+    text of the error that stops them; with the constructor reads."""
+    inst = counting_cost_inst()
+    values, shown = [], []
+    try:
+        values.append(run(inst, dict(env), mt))
+        shown.append(render_semval(values[-1]))
+        for call in calls:
+            values.append(call(values))
+            shown.append(render_semval(values[-1]))
+    except WritError as err:
+        shown.append((type(err).__name__, str(err)))
+    return shown, dict(inst.cons_interp.by_symbol)
+
+
+def _agrees_through_calls(mt, env=None, calls=()):
+    got = _outcome(denote, mt, env or {}, calls)
+    assert got == _outcome(reference_denote, mt, env or {}, calls)
+    return got[0]
+
+
+def _apply(*args):
+    """Calls that apply the value so far, an effect-paired function, to
+    each of args in turn."""
+    return [lambda vs, a=a: as_fun(as_pair(vs[-1]).snd).fn(a) for a in args]
+
+
+@pytest.mark.parametrize("src, args, want", [
+    # the escaping closure reads x from the inlined body around it, and
+    # binds an x of its own inside
+    ("(fn x:Nat => fn y:Nat => add x ((fn x:Nat => mul x y) 7)) 3", [Base(2)], 17),
+    ("(fn x:Nat => fn y:Nat => fn x:Nat => add x y) 3", [Base(2), Base(5)], 7),
+    ("(fn x:Nat => fn x:Nat => succ x) 3", [Base(2)], 3),
+    # closures that capture the binders of inlined bodies, at two depths
+    ("(fn k:Nat => fn n:Nat => fn p:Nat => add k (mul n p)) 5", [Base(2), Base(3)], 11),
+    ("(fn k:Nat => (fn j:Nat => fn n:Nat => add j (add k n)) 4) 5", [Base(2)], 11),
+])
+def test_closures_take_their_captures_as_the_reference_scopes_do(src, args, want):
+    term = parse_term(src)
+    mt = translate(signature_for(term), {}, term)
+    shown = _agrees_through_calls(mt, calls=_apply(*args))
+    assert shown[-1][1] == want
+
+
+def test_a_closure_body_reads_a_name_no_binder_binds_from_the_environment():
+    inner = MLam("z", NAT_TY, MPair(IOTA, MPair(MVar("x"), MVar("z"))))
+    mt = MPair(IOTA, MLam("y", NAT_TY, MPair(IOTA, MPair(MVar("x"), inner))))
+    calls = [*_apply(Base(2)), lambda vs: as_fun(vs[-1].snd.snd).fn(Base(3))]
+    shown = _agrees_through_calls(mt, {"x": Base(7)}, calls)
+    assert shown[1:] == [[0, [7, "<function>"]], [0, [7, 3]]]
+
+
+def test_an_unbound_name_reached_only_through_a_call_raises_at_the_read():
+    # the body reads the constructors of its literal before the name; the
+    # one lambda is built once where z is bound and once where it is not
+    lam = MLam("y", NAT_TY, MPair(ProjL(MLit(2)), MVar("z")))
+    bound = MApp(ProjR(MPair(IOTA, MLam("z", NAT_TY, MPair(IOTA, lam)))), MLit(1))
+    mt = MPair(bound, MPair(IOTA, lam))
+    calls = [lambda vs: as_fun(vs[0].fst.snd).fn(Base(0)),
+             lambda vs: as_fun(vs[0].snd.snd).fn(Base(0))]
+    shown = _agrees_through_calls(mt, calls=calls)
+    assert shown[1] == [0, [0, 1]]
+    assert shown[2] == ("MetaTypeMismatch",
+                        "unbound meta variable 'z' at interpretation time")
+
+
+def test_a_malformed_closure_body_raises_at_each_call_and_not_before():
+    mt = MPair(IOTA, MLam("y", NAT_TY, object()))
+    shown = _agrees_through_calls(mt, calls=_apply(Base(0)))
+    assert shown[0] == [0, "<function>"] and shown[1][0] == "MetaTypeMismatch"
+    f = as_pair(denote(cost_exact_inst(), {}, mt)).snd
+    for _ in range(2):
+        with pytest.raises(MetaTypeMismatch):
+            as_fun(f).fn(Base(0))
+
+
 def test_a_symbol_body_flattens_to_its_redex_free_core():
     # unresolved, the body of fn p:Nat => succ p is 18 entries, and it calls
     # succ's eta-expanded lambda, whose body is 5 more; resolved, it is 7
@@ -473,12 +571,12 @@ def test_the_compiled_scope_cache_stays_at_its_size():
     assert engine._factory.cache_info().currsize == size
 
 
-FACTORY = "def factory(K, iota, com, inc, cons, func, closure, literals, literal):"
+FACTORY = "def factory(K, iota, com, inc, cons, func, literals, literal, body, env):"
 # the names a compiled scope's body may read besides v<n> and K[<n>]
 _SOURCE_NAMES = {
-    "def", "return", "if", "is", "else", "None", "type", "id",  # Python's own
-    "run", "scope",  # the function the factory makes, and its argument
-    "iota", "com", "inc", "cons", "func", "closure", "literals", "literal",
+    "def", "return", "if", "is", "else", "or", "None", "type", "id",  # Python's own
+    "run",  # the function the factory makes, whose parameters are v<n>
+    "iota", "com", "inc", "cons", "func", "literals", "literal", "body", "env",
     *engine._HELPERS, "get", "fn", "amount", "fst", "snd",
 }
 _SOURCE_OPS = {"(", ")", "[", "]", "{", "}", ",", ".", ":", "=", "**"}

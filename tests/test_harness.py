@@ -1,6 +1,7 @@
 """The verifiers: honest on correct analyses, loud on corrupted ones."""
 
 import json
+import random
 
 import pytest
 
@@ -97,24 +98,54 @@ def test_verify_modulus_blind_functional_has_nothing_to_perturb_below_phi():
 
 
 def test_verify_modulus_runs_each_trial_under_its_own_oracle(monkeypatch):
-    # a mutated table differs from the live oracle only where a correct
+    # a mutated oracle differs from the live one only where a correct
     # evaluator never looks, so the value alone cannot show which one ran
-    calls = []  # (table, argument); keeping every table alive keeps ids apart
+    calls = []  # (oracle, argument); keeping every oracle alive keeps ids apart
+    make_runner = harness.oracle_runner
 
-    class RecordingTable(Table):
-        def __call__(self, n):
-            calls.append((self, n))
-            return super().__call__(n)
+    def recording_runner(*args):
+        run = make_runner(*args)
+        return lambda g: run(lambda n: calls.append((g, n)) or g(n))
 
-    monkeypatch.setattr(harness, "Table", RecordingTable)
+    monkeypatch.setattr(harness, "oracle_runner", recording_runner)
     rep = verify_modulus(parse_term(FF2), Identity(), trials=10, seed=5)
     assert rep.passed
     assert rep.evidence["perturbations_run"] == 10
-    by_table: dict[int, list[int]] = {}
-    for table, n in calls:
-        by_table.setdefault(id(table), []).append(n)
-    # ten tables, each queried as the live oracle was: at 2, then at its answer
-    assert list(by_table.values()) == [[2, 2]] * 10
+    by_oracle: dict[int, list[int]] = {}
+    for g, n in calls:
+        by_oracle.setdefault(id(g), []).append(n)
+    # the live oracle, then ten mutated ones, each queried as the live one
+    # was: at 2, then at its answer
+    assert list(by_oracle.values()) == [[2, 2]] * 11
+
+
+def test_verify_modulus_draws_its_mutations_in_seeded_order(monkeypatch):
+    # the draws of each trial: how many positions, which, and then one bump
+    # per chosen position in ascending order; a mutated oracle answers zero
+    # past the window, as a table with default zero does
+    seen = []
+    make_runner = harness.oracle_runner
+
+    def recording_runner(*args):
+        run = make_runner(*args)
+
+        def recorded(g):
+            seen.append([g(j) for j in range(13)])
+            return run(g)
+        return recorded
+
+    monkeypatch.setattr(harness, "oracle_runner", recording_runner)
+    t = parse_term("fn f:Nat->Nat => f (succ (f 1))")
+    assert verify_modulus(t, Identity(), trials=20, seed=7).passed
+    rng = random.Random(7)
+    answers = list(range(11))  # support 1 and 2, phi 3, and a window of 8
+    mutable = [j for j in answers if j not in (1, 2)]
+    want = [list(range(13))]
+    for _ in range(20):
+        chosen = sorted(rng.sample(mutable, rng.randint(1, 4)))
+        want.append([a + 1 + rng.randrange(5) if j in chosen else a
+                     for j, a in enumerate(answers)] + [0, 0])
+    assert seen == want
 
 
 def test_verify_modulus_rejects_negative_trials():

@@ -18,6 +18,7 @@ from writ import (
     MissingInterpretation,
     ModulusReport,
     SFun,
+    SPair,
     ShapeMismatch,
     Table,
     TypeMismatch,
@@ -452,6 +453,23 @@ def test_a_stage_charges_the_step_before_the_stages_below_it():
     t = parse_term(
         "fn f:Nat->Nat => rec[Nat] 0 (fn n:Nat => (fn q:Nat => fn p:Nat => succ p) (f n)) 3")
     assert modulus(t, Identity()).support == (2, 1, 0)
+
+
+@pytest.mark.parametrize("step, want", [
+    (Base(3), "expected a function, got Base"),
+    (SFun(lambda i: Base(0)), "expected a pair, got Base"),
+    (SFun(lambda i: SPair(Base(0), Base(0))), "expected a effect, got Base"),
+    (SFun(lambda i: spair(0, Base(1))), "expected a function, got Base"),
+    (SFun(lambda i: spair(0, SFun(lambda p: Base(1)))), "expected a pair, got Base"),
+])
+def test_a_misshapen_stage_raises_the_guards_mismatch(step, want):
+    family = recursor(COST, lambda m: range(as_base(m).value))
+    run = as_fun(as_fun(family).fn(Base(1))).fn(step)
+    # with no stage to run, the step is never looked at
+    assert pair_parts(as_fun(run).fn(Base(0))) == (1, Base(1))
+    with pytest.raises(ShapeMismatch) as err:
+        as_fun(run).fn(Base(2))
+    assert str(err.value) == want
 
 
 def test_the_two_join_rules_differ_on_a_step_that_does_not_distribute():
