@@ -142,10 +142,15 @@ def _majorize(args: argparse.Namespace) -> _Result:
 
 
 def _verify(args: argparse.Namespace) -> _Result:
-    if args.file is not None and args.corpus:
+    if args.file is not None and args.corpus is not None:
         raise ParseError("verify takes a file or --corpus, not both")
-    if args.corpus:
-        reports = run_corpus(Path(args.corpus), args.fuel, args.trials, args.seed)
+    if args.corpus is not None:
+        corpus = Path(args.corpus)
+        if not args.corpus or not corpus.is_dir():
+            # as for a file, an empty argument would read as "."
+            shown = corpus if args.corpus else repr(args.corpus)
+            raise ParseError(f"no such directory: {shown}")
+        reports = run_corpus(corpus, args.fuel, args.trials, args.seed)
     elif args.file is not None:
         reports = verify_file(_file(args), args.fuel, args.trials, args.seed)
     else:

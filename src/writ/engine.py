@@ -14,7 +14,10 @@ than running a loop over its nodes. Closures are flat: a body's function
 takes the values it reads from the scopes around it by position, ahead of
 its argument, so a closure is that function with those values bound, and a
 call of it is one host frame. denote builds each literal leaf once per
-call by folding the instantiation's constructors. When it flattens a scope
+call: in closed form, in constant time, under the exact constructors when
+three empty effects combine to the empty effect, and otherwise by folding
+the instantiation's constructors. QUERIES combines query logs in constant
+time, as a rope (QueryLog) read out in order. When it flattens a scope
 it resolves the translation's administrative redexes: a projection of a
 pair built in the scope reads the component, and an application of a
 lambda built in the scope runs the body inline. So no pair, closure or call
@@ -37,7 +40,7 @@ __all__ = [
     "EffectTriple", "COST", "QUERIES", "TRIVIAL",
     "Eff", "Base", "BaseList", "SPair", "SFun", "SemVal", "SemEnv",
     "spair", "as_eff", "as_base", "as_list", "as_pair", "as_fun", "pair_parts",
-    "curried", "EXACT_CONS",
+    "EXACT_CONS", "EXACT_NAT_CONS", "QueryLog",
     "render_semval",
     "Instantiation", "denote", "compose",
 ]
@@ -54,8 +57,54 @@ class EffectTriple:
     com: Callable[[object, object, object], object]
 
 
+class QueryLog:
+    """A query log made by QUERIES.com: the concatenation of its parts, each
+    a non-empty tuple or log, held as they are (a rope), so a combination
+    copies nothing. It reads out in order by a loop on an explicit stack,
+    however deep the nesting, and compares and hashes as the flat tuple of
+    its queries."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: tuple) -> None:
+        self.parts = parts
+
+    def __iter__(self):
+        todo: list = [self]
+        pop, extend = todo.pop, todo.extend
+        while todo:
+            part = pop()
+            if type(part) is QueryLog:
+                extend(part.parts[::-1])
+            else:
+                yield from part
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, QueryLog)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+def _log_com(a, b, c):
+    """The query logs a, b and c one after another, in constant time: the
+    one non-empty log itself, or a QueryLog of the non-empty ones."""
+    if a:
+        if b:
+            return QueryLog((a, b, c) if c else (a, b))
+        return QueryLog((a, c)) if c else a
+    if b:
+        return QueryLog((b, c)) if c else b
+    return c
+
+
 COST = EffectTriple(0, lambda c: c + 1, lambda a, b, c: a + b + c)
-QUERIES = EffectTriple((), lambda c: c, lambda a, b, c: a + b + c)
+QUERIES = EffectTriple((), lambda c: c, _log_com)
 TRIVIAL = EffectTriple(None, lambda c: None, lambda a, b, c: None)
 
 
@@ -137,20 +186,6 @@ def pair_parts(v: SemVal) -> tuple[object, SemVal]:
     return as_eff(p.fst).amount, p.snd
 
 
-def curried(arity: int, finish: Callable[[tuple], SemVal]) -> SemVal:
-    """A function of arity arguments, taken one at a time: it collects each
-    argument's host value (a natural's int, a sequence itself) and hands the
-    full tuple to finish."""
-
-    def take(args: tuple) -> SemVal:
-        if len(args) == arity:
-            return finish(args)
-        return SFun(lambda a: take(
-            args + (a.value if type(a) is Base else as_list(a),)))
-
-    return take(())
-
-
 # the constructors wherever numerals and lists mean themselves: the plain
 # semantics and the analyses whose values are exact
 EXACT_CONS: Mapping[str, SemVal] = MappingProxyType({
@@ -160,6 +195,10 @@ EXACT_CONS: Mapping[str, SemVal] = MappingProxyType({
     "cons": SFun(lambda a: SFun(lambda n: as_list(a).snoc(as_base(n).value))),
 })
 
+# the same constructors over the numerals alone
+EXACT_NAT_CONS: Mapping[str, SemVal] = MappingProxyType(
+    {name: EXACT_CONS[name] for name in ("zero", "succ")})
+
 
 def render_semval(v: SemVal) -> object:
     """JSON-friendly view: naturals and sequences verbatim, the rest opaque."""
@@ -168,7 +207,7 @@ def render_semval(v: SemVal) -> object:
     if isinstance(v, BaseList):
         return list(v.items)
     if isinstance(v, Eff):
-        return list(v.amount) if isinstance(v.amount, tuple) else v.amount
+        return list(v.amount) if isinstance(v.amount, (tuple, QueryLog)) else v.amount
     if isinstance(v, SPair):
         return [render_semval(v.fst), render_semval(v.snd)]
     return "<function>"
@@ -411,9 +450,21 @@ def _literal(inst: "Instantiation", value: "int | tuple[int, ...]") -> SemVal:
     application of a constructor takes its interpretation to the value so
     far, and combines the empty effect, the effect so far and the empty
     effect of the call. The interpretations are read as the spine's run
-    would read them, one read per application."""
+    would read them, one read per application.
+
+    Under the exact constructors (EXACT_CONS, EXACT_NAT_CONS, the very
+    tables) a literal means itself, and when the combination of three empty
+    effects is the empty effect, so is every effect of the spine: then the
+    pair is made at once, in constant time, and no constructor is read. Any
+    other table, or effect triple, runs the fold."""
     eps, com = inst.effect.eps, inst.effect.com
     table = inst.cons_interp
+    if (table is EXACT_CONS or table is EXACT_NAT_CONS) and com(eps, eps, eps) == eps:
+        if type(value) is int:
+            return SPair(Eff(eps), Base(value))
+        if table is EXACT_CONS:
+            return SPair(Eff(eps), BaseList(value))
+        raise MissingInterpretation("nil", f"not in {inst.name}")
 
     def numeral(n: int) -> tuple[object, SemVal]:
         c, v = eps, table["zero"]

@@ -31,6 +31,7 @@ from .errors import FuelExhausted, ShapeMismatch, TypeMismatch, UnsupportedSymbo
 from .engine import (
     COST,
     EXACT_CONS,
+    EXACT_NAT_CONS,
     QUERIES,
     TRIVIAL,
     Base,
@@ -45,7 +46,6 @@ from .engine import (
     as_fun,
     as_list,
     compose,
-    curried,
     denote,
     pair_parts,
     spair,
@@ -103,11 +103,28 @@ def lift_builtin(
 
     Once its last argument arrives, it runs delta (the builtin's own unless
     one is given) on the arguments' host values and charges the one step
-    its unfold takes, eff.inc(eff.eps).
+    its unfold takes, eff.inc(eff.eps). It is one or two nested closures,
+    each taking its argument's host value as it arrives; every builtin of
+    the signatures takes one or two arguments.
     """
     run = builtin.delta if delta is None else delta
-    step = eff.inc(eff.eps)
-    return curried(builtin.arity, lambda args: spair(step, Base(run(args))))
+    step = Eff(eff.inc(eff.eps))
+    if builtin.arity == 1:
+        return SFun(lambda a: SPair(step, Base(run((_host_value(a),)))))
+    if builtin.arity != 2:
+        raise ValueError(f"builtin {builtin.name!r} takes {builtin.arity} arguments, not 1 or 2")
+
+    def first(a: SemVal) -> SemVal:
+        x = _host_value(a)
+        return SFun(lambda b: SPair(step, Base(run((x, _host_value(b))))))
+
+    return SFun(first)
+
+
+def _host_value(v: SemVal) -> "int | BaseList":
+    # a builtin's argument as its delta takes it: a natural's int, a
+    # sequence itself
+    return v.value if type(v) is Base else as_list(v)
 
 
 def _lifted(eff: EffectTriple, names: Iterable[str], delta=None) -> dict[str, SemVal]:
@@ -265,7 +282,7 @@ def semantic_join(
     amounts merged by combine_eff.
     """
     if isinstance(x, Base) and isinstance(y, Base):
-        return Base(max(x.value, y.value))
+        return x if x.value >= y.value else y
     if isinstance(x, SFun) and isinstance(y, SFun):
 
         def joined(a: SemVal) -> SemVal:
@@ -322,7 +339,7 @@ def majorizability_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
     return Instantiation(
         name="majorizability",
         effect=TRIVIAL,
-        cons_interp={name: EXACT_CONS[name] for name in ("zero", "succ")},
+        cons_interp=EXACT_NAT_CONS,
         func_interp={
             **_lifted(TRIVIAL, ("add", "mul")),
             # comparisons only ever produce 0 or 1; the constant covers both,

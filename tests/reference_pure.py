@@ -8,7 +8,7 @@ EXACT_CONS and runs the signature's own builtin deltas.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from writ.engine import (
     EXACT_CONS,
@@ -19,7 +19,6 @@ from writ.engine import (
     as_base,
     as_fun,
     as_list,
-    curried,
 )
 from writ.errors import FuelExhausted, MetaTypeMismatch, MissingInterpretation
 from writ.signatures import BUILTINS, OracleSpec
@@ -66,6 +65,20 @@ def pure_denote(
         v = t.value
         return Base(v) if type(v) is int else BaseList(v)
     raise MissingInterpretation(repr(t))
+
+
+def curried(arity: int, finish: Callable[[tuple], SemVal]) -> SemVal:
+    """A function of arity arguments, taken one at a time: it collects each
+    argument's host value (a natural's int, a sequence itself) and hands the
+    full tuple to finish."""
+
+    def take(args: tuple) -> SemVal:
+        if len(args) == arity:
+            return finish(args)
+        return SFun(lambda a: take(
+            args + (a.value if type(a) is Base else as_list(a),)))
+
+    return take(())
 
 
 def _pure_func(name: str, oracle: Optional[OracleSpec], depth: int) -> SemVal:

@@ -250,6 +250,21 @@ def test_missing_file(capsys, path, shown):
     assert run(capsys, "verify", path) == (2, "", f"writ: no such file: {shown}\n")
 
 
+def test_verify_corpus_must_be_a_directory(wt, capsys, tmp_path):
+    path = wt("rec3.wt", f"-- analyses: cost\n{REC3}")
+    for bad, shown in (("/nonexistent", "/nonexistent"), (path, path), ("", "''")):
+        assert run(capsys, "verify", "--corpus", bad) == (
+            2, "", f"writ: no such directory: {shown}\n")
+    # an empty corpus path is still a corpus path
+    assert run(capsys, "verify", path, "--corpus", "") == (
+        2, "", "writ: verify takes a file or --corpus, not both\n")
+    # an existing directory with no .wt file is an empty corpus
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert run(capsys, "verify", "--corpus", str(empty)) == (
+        0, '{"reports":[],"failures":0}\n', "")
+
+
 def test_fuel_exhaustion_exit_code(wt, capsys):
     code, _, err = run(capsys, "eval", wt("rec3.wt", REC3), "--fuel", "2")
     assert code == 3

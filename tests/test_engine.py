@@ -69,7 +69,9 @@ from writ import (
     with_oracle,
 )
 from writ import engine
-from writ.engine import _APP, _COM, _INC, _LAM, _LEFT, _PAIR, _RIGHT, EXACT_CONS, _flatten
+from writ.engine import (
+    _APP, _COM, _INC, _LAM, _LEFT, _PAIR, _RIGHT, EXACT_CONS, EXACT_NAT_CONS, _flatten, _literal,
+)
 from writ.parser import _Token
 from writ.syntax import Lit, literal_spine
 
@@ -108,6 +110,34 @@ def test_effect_triples():
     assert QUERIES.com((1,), (), (2, 3)) == (1, 2, 3)
     assert TRIVIAL.inc(None) is None
     assert TRIVIAL.com(None, None, None) is None
+
+
+def test_a_deeply_nested_query_log_reads_out_in_order():
+    n = 100_000
+    left = right = ()
+    for k in range(n):
+        left = QUERIES.com(left, (k,), ())
+        right = QUERIES.com((n - 1 - k,), right, ())
+    flat = tuple(range(n))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # CPython's default
+    try:
+        assert tuple(left) == flat == tuple(right)
+        assert left == right == flat and hash(left) == hash(flat)
+        assert render_semval(Eff(left)) == list(flat)
+        del left, right
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_query_logs_combine_without_copying():
+    a, b = (1, 2), (3,)
+    assert QUERIES.com((), a, ()) is a
+    assert QUERIES.com((), (), ()) == ()
+    log = QUERIES.com(a, (), b)
+    assert log.parts == (a, b) and log == (1, 2, 3) and log != (1, 2)
+    assert QUERIES.com(log, b, log).parts == (log, b, log)
+    assert repr(log) == "(1, 2, 3)" and {log: 0}[(1, 2, 3)] == 0
 
 
 def test_pair_helpers():
@@ -228,6 +258,27 @@ def test_literal_leaf_denotes_as_its_spine_translation(value):
     for inst in (cost_exact_inst(), replace(cost_exact_inst(), effect=SHAPES),
                  cost_bounded_inst(), majorizability_inst(), continuity_inst(Identity())):
         assert _denote_or_missing(inst, MLit(value)) == _denote_or_missing(inst, spine)
+
+
+def _literal_or_missing(inst, value):
+    try:
+        return _literal(inst, value)
+    except MissingInterpretation as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("value", [0, 1, 7, 1100, (), (0,), (3, 0, 5)])
+@pytest.mark.parametrize("make", [
+    cost_exact_inst, majorizability_inst, lambda: continuity_inst(Identity()),
+    # an effect triple whose empty effects do not combine to the empty one
+    lambda: replace(cost_exact_inst(), effect=SHAPES),
+], ids=["cost_exact", "majorizability", "continuity", "shapes"])
+def test_literal_closed_form_matches_the_general_fold(make, value):
+    inst = make()
+    assert inst.cons_interp is EXACT_CONS or inst.cons_interp is EXACT_NAT_CONS
+    # a plain copy of the table is not the exact table, so it runs the fold
+    plain = replace(inst, cons_interp=dict(inst.cons_interp))
+    assert _literal_or_missing(inst, value) == _literal_or_missing(plain, value)
 
 
 def test_denote_counts_symbol_lookups_once_per_shared_node():

@@ -105,6 +105,20 @@ def test_modulus_agrees_with_live_evaluation():
         assert set(live.queries) <= set(rep.support)
 
 
+def test_modulus_support_keeps_queries_on_both_sides_of_the_recursive_value():
+    # each stage queries succ n before it reads the stages below it, and
+    # succ (succ p) after, so its two queries sit on either side of theirs
+    from writ import evaluate_with_oracle
+    from writ.syntax import App
+
+    t = parse_term("fn f:Nat->Nat => rec[Nat] 0 (fn n:Nat => "
+                   "(fn q:Nat => fn p:Nat => f (succ (succ p))) (f (succ n))) 3")
+    rep = modulus(t, Identity())
+    assert rep == ModulusReport(phi=7, support=(3, 2, 1, 2, 4, 6), predicted_value=6)
+    live = evaluate_with_oracle(system_t(), App(t, Func("alpha")), Identity())
+    assert rep.support == live.queries
+
+
 def test_modulus_requires_type_two():
     with pytest.raises(TypeMismatch):
         modulus(numeral(3), Identity())
@@ -342,6 +356,26 @@ def test_majorant_lt_is_constant_one():
     assert as_base(majorant(parse_term("lt 5 0"))).value == 1
 
 
+# ---------------------------------------------------------------- builtins
+
+def test_lift_builtin_charges_one_step_once_its_arguments_arrive():
+    from writ.instantiations import lift_builtin
+    from writ.signatures import BUILTINS, BaseList
+
+    add = as_fun(lift_builtin(BUILTINS["add"], COST)).fn(Base(2))
+    assert pair_parts(as_fun(add).fn(Base(3))) == (1, Base(5))
+    length = lift_builtin(BUILTINS["len"], COST)
+    assert pair_parts(as_fun(length).fn(BaseList((4, 0, 7)))) == (1, Base(3))
+
+
+def test_lift_builtin_rejects_arities_other_than_one_and_two():
+    from writ.instantiations import lift_builtin
+    from writ.signatures import Builtin
+
+    with pytest.raises(ValueError, match="takes 3 arguments"):
+        lift_builtin(Builtin("sel", 3, lambda args: args[0]), COST)
+
+
 # ---------------------------------------------------------------- joins
 
 def test_semantic_join_naturals_and_functions():
@@ -527,6 +561,7 @@ def test_analyses_take_deep_literals_at_the_default_recursion_limit():
         bound = bounded_cost(fold)
         majorants = [majorant(succ), majorant(add)]
         rep = modulus(oracle, Identity())
+        deep_rep = modulus(parse_term(ORACLE_REC.format(20_000)), Identity())
     except RecursionError:
         # flagged, not raised: see the evaluator's deep-run test
         hit_limit = True
@@ -540,6 +575,8 @@ def test_analyses_take_deep_literals_at_the_default_recursion_limit():
     assert (bound.predicted, bound.semantic) == (4 * 400 + 1, Base(1))
     assert majorants == [Base(n), Base(triangle)]
     assert rep == ModulusReport(phi=n, support=tuple(range(n)), predicted_value=n)
+    assert deep_rep == ModulusReport(phi=20_000, support=tuple(range(20_000)),
+                                     predicted_value=20_000)
 
 
 def test_search_cost_keeps_no_values_past_their_round():
