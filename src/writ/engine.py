@@ -2,27 +2,28 @@
 
 The metalanguage is interpreted over SemVal: naturals, finite numeral
 sequences (the machine's own BaseList, which the exact cons extends in
-constant time), pairs, host functions, and effect annotations drawn from one
-EffectTriple (an empty effect, a one-step extension, and a three-way
-combination). The value classes are slotted dataclasses, immutable by
-convention rather than frozen, since the analyses build several per
-recursor stage. Swapping the triple and the symbol interpretations changes
-the analysis without touching the interpreter. denote flattens the top
-level and each closure's body into a list of entries, and compiles each
-list once into a cached host function with one statement per entry rather
-than running a loop over its nodes. Closures are flat: a body's function
-takes the values it reads from the scopes around it by position, ahead of
-its argument, so a closure is that function with those values bound, and a
-call of it is one host frame. denote builds each literal leaf once per
-call: in closed form, in constant time, under the exact constructors when
-three empty effects combine to the empty effect, and otherwise by folding
-the instantiation's constructors. QUERIES combines query logs in constant
-time, as a rope (QueryLog) read out in order. When it flattens a scope
-it resolves the translation's administrative redexes: a projection of a
-pair built in the scope reads the component, and an application of a
-lambda built in the scope runs the body inline. So no pair, closure or call
-is made for them at run time, while every effect, application and symbol
-read still runs once, in order.
+constant time), pairs, host functions, and effects. An effect is an element
+of the carrier of one EffectTriple (an empty effect, a one-step extension,
+and a three-way combination) as it is, with no box around it: an int under
+COST, a query log under QUERIES, None under TRIVIAL. The value classes are
+slotted dataclasses, immutable by convention rather than frozen, since the
+analyses build several per recursor stage. Swapping the triple and the
+symbol interpretations changes the analysis without touching the
+interpreter. denote flattens the top level and each closure's body into a
+list of entries, and compiles each list once into a cached host function
+with one statement per entry rather than running a loop over its nodes.
+Closures are flat: a body's function takes the values it reads from the
+scopes around it by position, ahead of its argument, so a closure is that
+function with those values bound, and a call of it is one host frame. denote
+builds each literal leaf once per call: in closed form, in constant time,
+under the exact constructors when three empty effects combine to the empty
+effect, and otherwise by folding the instantiation's constructors. QUERIES
+combines query logs in constant time, as a rope (QueryLog) read out in
+order. When it flattens a scope it resolves the translation's administrative
+redexes: a projection of a pair built in the scope reads the component, and
+an application of a lambda built in the scope runs the body inline. So no
+pair, closure or call is made for them at run time, while every effect,
+application and symbol read still runs once, in order.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .signatures import BaseList
 
 __all__ = [
     "EffectTriple", "COST", "QUERIES", "TRIVIAL",
-    "Eff", "Base", "BaseList", "SPair", "SFun", "SemVal", "SemEnv",
+    "Base", "BaseList", "SPair", "SFun", "SemVal", "SemEnv",
     "spair", "as_eff", "as_base", "as_list", "as_pair", "as_fun", "pair_parts",
     "EXACT_CONS", "EXACT_NAT_CONS", "QueryLog",
     "render_semval",
@@ -50,7 +51,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EffectTriple:
-    """One choice of effect algebra: empty, step, combination."""
+    """One choice of effect algebra: empty, step, combination. An effect is a
+    carrier element itself, told from a value by its class alone, so no
+    carrier element may be a Base, BaseList, SPair or SFun (as none of
+    COST's, QUERIES' or TRIVIAL's is)."""
 
     eps: object
     inc: Callable[[object], object]
@@ -115,13 +119,6 @@ TRIVIAL = EffectTriple(None, lambda c: None, lambda a, b, c: None)
 # field on every build
 
 @dataclass(slots=True, unsafe_hash=True)
-class Eff:
-    """An effect annotation, an element of the active carrier."""
-
-    amount: object
-
-
-@dataclass(slots=True, unsafe_hash=True)
 class Base:
     """A natural number (or a size, under size-based analyses)."""
 
@@ -141,17 +138,21 @@ class SFun:
     fn: Callable[["SemVal"], "SemVal"]
 
 
-SemVal: TypeAlias = "Eff | Base | BaseList | SPair | SFun"
+SemVal: TypeAlias = "Base | BaseList | SPair | SFun | object"
 SemEnv: TypeAlias = Mapping[str, "SemVal"]
+
+# the classes of the values that are not effects
+_VALUES = frozenset((Base, BaseList, SPair, SFun))
 
 
 def spair(amount: object, value: SemVal) -> SPair:
-    """Pair an effect amount with a value."""
-    return SPair(Eff(amount), value)
+    """Pair an effect, a carrier element, with a value."""
+    return SPair(amount, value)
 
 
-def as_eff(v: SemVal) -> Eff:
-    if not isinstance(v, Eff):
+def as_eff(v: SemVal) -> object:
+    """v itself, a carrier element, unless it is one of the other values."""
+    if type(v) in _VALUES:
         raise ShapeMismatch("effect", v)
     return v
 
@@ -181,9 +182,9 @@ def as_fun(v: SemVal) -> SFun:
 
 
 def pair_parts(v: SemVal) -> tuple[object, SemVal]:
-    """Split an effect-value pair into (amount, value)."""
+    """Split an effect-value pair into (effect, value)."""
     p = as_pair(v)
-    return as_eff(p.fst).amount, p.snd
+    return as_eff(p.fst), p.snd
 
 
 # the constructors wherever numerals and lists mean themselves: the plain
@@ -201,16 +202,16 @@ EXACT_NAT_CONS: Mapping[str, SemVal] = MappingProxyType(
 
 
 def render_semval(v: SemVal) -> object:
-    """JSON-friendly view: naturals and sequences verbatim, the rest opaque."""
+    """JSON-friendly view: naturals, sequences and effects verbatim, functions opaque."""
     if isinstance(v, Base):
         return v.value
     if isinstance(v, BaseList):
         return list(v.items)
-    if isinstance(v, Eff):
-        return list(v.amount) if isinstance(v.amount, (tuple, QueryLog)) else v.amount
     if isinstance(v, SPair):
         return [render_semval(v.fst), render_semval(v.snd)]
-    return "<function>"
+    if isinstance(v, SFun):
+        return "<function>"
+    return list(v) if isinstance(v, (tuple, QueryLog)) else v
 
 
 # ---------------------------------------------------------------- instantiation
@@ -461,9 +462,9 @@ def _literal(inst: "Instantiation", value: "int | tuple[int, ...]") -> SemVal:
     table = inst.cons_interp
     if (table is EXACT_CONS or table is EXACT_NAT_CONS) and com(eps, eps, eps) == eps:
         if type(value) is int:
-            return SPair(Eff(eps), Base(value))
+            return SPair(eps, Base(value))
         if table is EXACT_CONS:
-            return SPair(Eff(eps), BaseList(value))
+            return SPair(eps, BaseList(value))
         raise MissingInterpretation("nil", f"not in {inst.name}")
 
     def numeral(n: int) -> tuple[object, SemVal]:
@@ -489,7 +490,7 @@ def _literal(inst: "Instantiation", value: "int | tuple[int, ...]") -> SemVal:
         if symbol in _SPINE and symbol not in table:
             raise MissingInterpretation(symbol, f"not in {inst.name}") from None
         raise
-    return SPair(Eff(c), v)
+    return SPair(c, v)
 
 
 _MISSING = object()  # what the environment gives for a name it does not bind
@@ -506,11 +507,12 @@ def _malformed(message: str, *args: SemVal) -> SemVal:
 # the names a compiled scope's source reads besides its values v<n>, its
 # leaves K[<n>] and its factory's parameters (the leaves, and the helpers of
 # one denote call)
-_HELPERS = {"Eff": Eff, "SPair": SPair, "SFun": SFun, "as_eff": as_eff, "as_pair": as_pair,
+_HELPERS = {"VALUES": _VALUES, "SPair": SPair, "SFun": SFun, "as_eff": as_eff, "as_pair": as_pair,
             "as_fun": as_fun, "partial": partial, "MISSING": _MISSING, "unbound": _unbound}
 
-# opcodes whose value has a known class, which a reader of it need not check
-_KNOWN = {_IOTA: "Eff", _COM: "Eff", _INC: "Eff", _PAIR: "SPair", _LIT: "SPair", _LAM: "SFun"}
+# opcodes whose value has a known class (an effect, or a value's class), which
+# a reader of it need not check
+_KNOWN = {_IOTA: "eff", _COM: "eff", _INC: "eff", _PAIR: "SPair", _LIT: "SPair", _LAM: "SFun"}
 
 
 def _compile(code: list[tuple], root: int) -> tuple[str, tuple]:
@@ -541,21 +543,22 @@ def _compile(code: list[tuple], root: int) -> tuple[str, tuple]:
     def read(i: int, cls: str, guard: str) -> str:
         if _KNOWN.get(code[i][0]) == cls:
             return f"v{i}"
-        return f"(v{i} if type(v{i}) is {cls} else {guard}(v{i}))"
+        test = "not in VALUES" if cls == "eff" else f"is {cls}"
+        return f"(v{i} if type(v{i}) {test} else {guard}(v{i}))"
 
     for n, (op, x, y, z) in enumerate(code):
         v = f"  v{n} = "
         if op == _APP:
             emit(f"{v}{read(x, 'SFun', 'as_fun')}.fn(v{y})")
         elif op == _COM:
-            emit(f"{v}Eff(com({read(x, 'Eff', 'as_eff')}.amount, "
-                 f"{read(y, 'Eff', 'as_eff')}.amount, {read(z, 'Eff', 'as_eff')}.amount))")
+            emit(f"{v}com({read(x, 'eff', 'as_eff')}, {read(y, 'eff', 'as_eff')}, "
+                 f"{read(z, 'eff', 'as_eff')})")
         elif op == _VAR:
             name = leaf(x.name)
             emit(f"{v}env.get({name}, MISSING)")
             emit(f"  if v{n} is MISSING: unbound({name})")
         elif op == _INC:
-            emit(f"{v}Eff(inc({read(x, 'Eff', 'as_eff')}.amount))")
+            emit(f"{v}inc({read(x, 'eff', 'as_eff')})")
         elif op == _PAIR:
             emit(f"{v}SPair(v{x}, v{y})")
         elif op == _IOTA:
@@ -629,7 +632,7 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     instantiation is fixed for the call.
     """
     eff = inst.effect
-    iota = Eff(eff.eps)
+    iota = eff.eps
     env = dict(env)
     # keyed by node id, for this call and the functions it returns
     literals: dict[int, SemVal] = {}  # a literal leaf's value

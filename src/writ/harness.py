@@ -78,6 +78,7 @@ __all__ = [
 
 PASS = "pass"
 FAIL = "fail"
+_WINDOW = 8  # positions at or above the modulus a perturbed oracle may change
 
 
 @dataclass(frozen=True)
@@ -160,7 +161,6 @@ def verify_modulus(
     g: OracleSpec,
     trials: int = 100,
     seed: int = 0,
-    window: int = 8,
     term_id: str = "",
     inst: Optional[Instantiation] = None,
     fuel: Fuel = DEFAULT_FUEL,
@@ -170,8 +170,8 @@ def verify_modulus(
     Checks, in order: the predicted value matches evaluation with the oracle
     installed; every logged query lies in the reported support; and for a
     seeded batch of oracles mutated only at unclaimed positions below the
-    modulus and inside a window at or above it, the value never moves.
-    Raises ValueError when trials is negative.
+    modulus and at the _WINDOW positions from it up (a module constant, 8),
+    the value never moves. Raises ValueError when trials is negative.
     """
     if trials < 0:
         raise ValueError("trials must not be negative")
@@ -203,8 +203,8 @@ def verify_modulus(
                      evidence, trials, seed)
     rng = random.Random(seed)
     support = set(rep.support)
-    answers = [g(j) for j in range(rep.phi + window)]
-    mutable = [j for j in range(rep.phi + window) if j not in support]
+    answers = [g(j) for j in range(rep.phi + _WINDOW)]
+    mutable = [j for j in range(rep.phi + _WINDOW) if j not in support]
     ran = 0
     for _ in range(trials):
         if not mutable:

@@ -36,7 +36,6 @@ from .engine import (
     TRIVIAL,
     Base,
     BaseList,
-    Eff,
     EffectTriple,
     Instantiation,
     SemVal,
@@ -49,9 +48,10 @@ from .engine import (
     denote,
     pair_parts,
     spair,
+    _VALUES,
 )
 from .evaluator import DEFAULT_FUEL, Fuel
-from .meta import translate
+from .meta import _translate, translate
 from .signatures import (
     BUILTINS, Builtin, OracleSpec, Signature, signature_for, system_t, system_t_list,
 )
@@ -108,7 +108,7 @@ def lift_builtin(
     the signatures takes one or two arguments.
     """
     run = builtin.delta if delta is None else delta
-    step = Eff(eff.inc(eff.eps))
+    step = eff.inc(eff.eps)
     if builtin.arity == 1:
         return SFun(lambda a: SPair(step, Base(run((_host_value(a),)))))
     if builtin.arity != 2:
@@ -172,13 +172,13 @@ def recursor(
             # each pair is read inline, and through the guards when its
             # shape is off, so that every mismatch keeps its text
             p = fn(Base(i))
-            if type(p) is SPair and type(p.fst) is Eff:
-                c_step, applied = p.fst.amount, p.snd
+            if type(p) is SPair and type(p.fst) not in _VALUES:
+                c_step, applied = p.fst, p.snd
             else:
                 c_step, applied = pair_parts(p)
             p = (applied if type(applied) is SFun else as_fun(applied)).fn(cur)
-            if type(p) is SPair and type(p.fst) is Eff:
-                c_call, out = p.fst.amount, p.snd
+            if type(p) is SPair and type(p.fst) not in _VALUES:
+                c_call, out = p.fst, p.snd
             else:
                 c_call, out = pair_parts(p)
             c = inc(com(c_step, c, c_call))
@@ -377,7 +377,8 @@ def modulus(
     if ty != _TYPE_TWO:
         raise TypeMismatch(render_type(_TYPE_TWO), render_type(ty), render_term(e))
     active = inst if inst is not None else continuity_inst(g, fuel)
-    den = denote(active, {}, translate(sig, {}, e))
+    # e is typechecked above, so it is translated without a second check
+    den = denote(active, {}, _translate(sig, e))
     support_raw, out = pair_parts(compose(active, den, spair((), active.func("alpha"))))
     support = tuple(support_raw)
     phi = max(support) + 1 if support else 0
@@ -395,8 +396,7 @@ def exact_cost(
     if sig is None:
         sig = signature_for(e)
     active = inst if inst is not None else cost_exact_inst(fuel)
-    den = denote(active, {}, translate(sig, {}, e))
-    cost, value = pair_parts(den)
+    cost, value = pair_parts(denote(active, {}, translate(sig, {}, e)))
     return CostReport(predicted=cost, semantic=value, mode=EXACT)
 
 
@@ -423,8 +423,7 @@ def bounded_cost(
             )
     sig = system_t_list()
     active = inst if inst is not None else cost_bounded_inst(fuel)
-    den = denote(active, {}, translate(sig, {}, e))
-    cost, value = pair_parts(den)
+    cost, value = pair_parts(denote(active, {}, translate(sig, {}, e)))
     return CostReport(predicted=cost, semantic=value, mode=BOUND)
 
 
@@ -437,8 +436,7 @@ def majorant(
     """A semantic value dominating e's value pointwise."""
     sig = signature_for(e)
     active = inst if inst is not None else majorizability_inst(fuel)
-    den = denote(active, {}, translate(sig, {}, e))
-    _, value = pair_parts(den)
+    _, value = pair_parts(denote(active, {}, translate(sig, {}, e)))
     return value
 
 
@@ -465,16 +463,11 @@ def spector_closed_form(omega: SemVal, g: SemVal, fuel: Fuel = DEFAULT_FUEL) -> 
 
     def prefix(n: int) -> SemVal:
         # reading any position costs one step; positions past n read zero
-        return SFun(
-            lambda i: spair(
-                1,
-                Base(
-                    g_val[as_base(i).value]
-                    if as_base(i).value < n
-                    else 0
-                ),
-            )
-        )
+        def read(i: SemVal) -> SemVal:
+            k = as_base(i).value
+            return spair(1, Base(g_val[k] if k < n else 0))
+
+        return SFun(read)
 
     w_cost: list[int] = []
     n = 0

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from writ import meta as M
 from writ.engine import (
-    Eff,
     Instantiation,
     SemEnv,
     SemVal,
@@ -85,7 +84,7 @@ def reference_denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal
     recurses where one lambda's run calls another.
     """
     eff = inst.effect
-    iota = Eff(eff.eps)
+    iota = eff.eps
     codes: dict[int, list[tuple]] = {}  # a lambda body's list
     literals: dict[int, SemVal] = {}  # a literal leaf's value
 
@@ -115,8 +114,7 @@ def reference_denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal
             elif op == _APP:
                 push(as_fun(vals[x]).fn(vals[y]))
             elif op == _COM:
-                push(Eff(eff.com(as_eff(vals[x]).amount, as_eff(vals[y]).amount,
-                                 as_eff(vals[z]).amount)))
+                push(eff.com(as_eff(vals[x]), as_eff(vals[y]), as_eff(vals[z])))
             elif op == _VAR:
                 try:
                     push(scope[x.name])
@@ -127,7 +125,7 @@ def reference_denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal
             elif op == _LAM:
                 push(closure(x, scope))
             elif op == _INC:
-                push(Eff(eff.inc(as_eff(vals[x]).amount)))
+                push(eff.inc(as_eff(vals[x])))
             elif op == _CONS:
                 push(inst.cons(x.symbol))
             elif op == _FUNC:

@@ -39,7 +39,6 @@ from writ import (
     Constant,
     DEFAULT_FUEL,
     Data,
-    Eff,
     Fuel,
     FuelExhausted,
     FuncDecl,
@@ -477,7 +476,7 @@ def _probe(ty, eps):
     if ty == LIST:
         return BaseList((1, 2))
     out = _probe(ty.cod, eps)
-    return SFun(lambda a: SPair(Eff(eps), out))
+    return SFun(lambda a: SPair(eps, out))
 
 
 def _denote_outcome(run, make, mt, ty, fuel):

@@ -21,7 +21,6 @@ from writ import (
     BaseList,
     Com,
     Constant,
-    Eff,
     EffectTriple,
     Fuel,
     GAMMA,
@@ -124,7 +123,7 @@ def test_a_deeply_nested_query_log_reads_out_in_order():
     try:
         assert tuple(left) == flat == tuple(right)
         assert left == right == flat and hash(left) == hash(flat)
-        assert render_semval(Eff(left)) == list(flat)
+        assert render_semval(left) == list(flat)
         del left, right
     finally:
         sys.setrecursionlimit(limit)
@@ -142,20 +141,20 @@ def test_query_logs_combine_without_copying():
 
 def test_pair_helpers():
     p = spair(3, Base(9))
-    assert p == SPair(Eff(3), Base(9))
+    assert p == SPair(3, Base(9))
     assert pair_parts(p) == (3, Base(9))
 
 
 def test_value_semantics():
     assert Base(3) == Base(3) and hash(Base(3)) == hash(Base(3))
-    assert Eff(3) != Base(3)
-    assert spair(1, Base(2)) == SPair(Eff(1), Base(2))
-    assert hash(spair(1, Base(2))) == hash(SPair(Eff(1), Base(2)))
+    assert 3 != Base(3)
+    assert spair(1, Base(2)) == SPair(1, Base(2))
+    assert hash(spair(1, Base(2))) == hash(SPair(1, Base(2)))
     f = SFun(lambda v: v)
     assert f == f and f != SFun(f.fn)
     # slotted and not frozen, which would cost a __setattr__ call per field
     # on every build
-    for v in (Eff(3), Base(3), SPair(Eff(1), Base(2)), f, _Token("num", "3", 0)):
+    for v in (Base(3), SPair(1, Base(2)), f, _Token("num", "3", 0)):
         assert not hasattr(v, "__dict__")
         assert type(v).__setattr__ is object.__setattr__
 
@@ -173,11 +172,33 @@ def test_shape_guards():
         pair_parts(Base(1))
 
 
+@pytest.mark.parametrize("make, name", [
+    (cost_exact_inst, "int"), (lambda: continuity_inst(Identity()), "tuple"),
+])
+def test_an_effect_applied_as_a_function_names_its_carrier(make, name):
+    # the effect of a literal, and a one-step extension of the empty effect,
+    # each read where a compiled scope applies a function
+    for effect in (ProjL(MLit(0)), Inc(IOTA)):
+        with pytest.raises(ShapeMismatch) as err:
+            denote(make(), {}, MApp(effect, MLit(0)))
+        assert str(err.value) == f"expected a function, got {name}"
+
+
+@pytest.mark.parametrize("read", [
+    lambda v: Com(v, IOTA, IOTA), lambda v: Com(IOTA, IOTA, v), lambda v: Inc(v),
+])
+def test_a_value_in_an_effect_slot_of_a_compiled_scope_fails_its_guard(read):
+    with pytest.raises(ShapeMismatch) as err:
+        denote(cost_exact_inst(), {}, read(ProjR(MLit(0))))
+    assert str(err.value) == "expected a effect, got Base"
+
+
 def test_render_semval():
     assert render_semval(Base(5)) == 5
     assert render_semval(BaseList((1, 2))) == [1, 2]
-    assert render_semval(Eff(4)) == 4
-    assert render_semval(Eff((2, 2))) == [2, 2]
+    assert render_semval(4) == 4
+    assert render_semval((2, 2)) == [2, 2]
+    assert render_semval(None) is None
     assert render_semval(spair(1, Base(2))) == [1, 2]
     assert render_semval(SFun(lambda v: v)) == "<function>"
 
@@ -625,10 +646,10 @@ def test_the_compiled_scope_cache_stays_at_its_size():
 FACTORY = "def factory(K, iota, com, inc, cons, func, literals, literal, body, env):"
 # the names a compiled scope's body may read besides v<n> and K[<n>]
 _SOURCE_NAMES = {
-    "def", "return", "if", "is", "else", "or", "None", "type", "id",  # Python's own
+    "def", "return", "if", "is", "not", "in", "else", "or", "None", "type", "id",  # Python's own
     "run",  # the function the factory makes, whose parameters are v<n>
     "iota", "com", "inc", "cons", "func", "literals", "literal", "body", "env",
-    *engine._HELPERS, "get", "fn", "amount", "fst", "snd",
+    *engine._HELPERS, "get", "fn", "fst", "snd",
 }
 _SOURCE_OPS = {"(", ")", "[", "]", "{", "}", ",", ".", ":", "=", "**"}
 

@@ -17,6 +17,7 @@ from writ import (
     Identity,
     MissingInterpretation,
     ModulusReport,
+    QUERIES,
     SFun,
     SPair,
     ShapeMismatch,
@@ -83,6 +84,23 @@ def test_modulus_blind_functional():
     assert rep.phi == 0
     assert rep.support == ()
     assert rep.predicted_value == 7
+
+
+def test_modulus_typechecks_its_term_once(monkeypatch):
+    import writ.instantiations
+    import writ.meta
+
+    checked = []
+
+    def counting(sig, ctx, t, _check=writ.instantiations.typecheck):
+        checked.append(t)
+        return _check(sig, ctx, t)
+
+    monkeypatch.setattr(writ.instantiations, "typecheck", counting)
+    monkeypatch.setattr(writ.meta, "typecheck", counting)
+    t = parse_term(FF2)
+    assert modulus(t, Identity()).support == (2, 2)
+    assert checked == [t]
 
 
 def test_modulus_support_preserves_query_order():
@@ -504,6 +522,23 @@ def test_a_misshapen_stage_raises_the_guards_mismatch(step, want):
     with pytest.raises(ShapeMismatch) as err:
         as_fun(run).fn(Base(2))
     assert str(err.value) == want
+
+
+@pytest.mark.parametrize("eff, effect, name", [
+    (COST, 3, "int"), (QUERIES, (4,), "tuple"), (QUERIES, (), "tuple"),
+])
+def test_an_effect_where_a_stage_needs_a_function_names_its_carrier(eff, effect, name):
+    # an effect is its carrier element itself, so the mismatch names the
+    # element's own class: as the value of a stage's pair, and as the step
+    held = spair(effect, Base(0)).fst
+    family = recursor(eff, lambda m: range(as_base(m).value))
+    run = as_fun(as_fun(family).fn(Base(1))).fn(SFun(lambda i: spair(eff.eps, held)))
+    with pytest.raises(ShapeMismatch) as err:
+        as_fun(run).fn(Base(2))
+    assert str(err.value) == f"expected a function, got {name}"
+    with pytest.raises(ShapeMismatch) as err:
+        as_fun(as_fun(as_fun(family).fn(Base(1))).fn(held)).fn(Base(2))
+    assert str(err.value) == f"expected a function, got {name}"
 
 
 def test_the_two_join_rules_differ_on_a_step_that_does_not_distribute():
