@@ -17,30 +17,21 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Mapping, Optional
 
-from .engine import (
-    Base,
-    SemVal,
-    SFun,
-    as_base,
-    as_fun,
-    denote,
-    pair_parts,
-    spair,
-)
+from .engine import COST, Base, BaseList, SemVal, as_base, as_fun, pair_parts
 from .errors import FuelExhausted, ParseError, WritError
 from .evaluator import DEFAULT_FUEL, Fuel, evaluate, oracle_runner
 from .instantiations import (
     Instantiation,
     bounded_cost,
-    cost_exact_inst,
     exact_cost,
+    lift_builtin,
     majorant,
     modulus,
     spector_closed_form,
 )
-from .meta import translate
 from .parser import parse_term
 from .signatures import (
+    BUILTINS,
     OracleSpec,
     Signature,
     bar_rec,
@@ -302,48 +293,24 @@ SEARCH_TEMPLATE = (
 )
 
 
-def _pair_fun(sig: Signature, t: Term, fuel: Fuel) -> SemVal:
-    """The effect-paired function denoted by a closed lambda, under exact cost."""
-    den = denote(cost_exact_inst(fuel), {}, translate(sig, {}, t))
-    _, value = pair_parts(den)
-    return value
-
-
 def _search_recurrence(omega: SemVal, g: SemVal, fuel: Fuel) -> int:
     """Round-by-round unfolding of the search cost, coded independently of
     the closed form: an unsettled round costs a five-step frame plus omega's
     work, and extending costs another five plus the stream's work."""
-    w = as_fun(omega)
-    gf = as_fun(g)
-    costs: list[int] = []
-    vals: list[int] = []
-
-    def fill(upto: int) -> None:
-        while len(vals) < upto:
-            c, v = pair_parts(gf.fn(Base(len(vals))))
-            costs.append(c)
-            vals.append(as_base(v).value)
-
-    def prefix(n: int) -> SemVal:
-        return SFun(
-            lambda i: spair(
-                1, Base(vals[as_base(i).value] if as_base(i).value < n else 0)
-            )
-        )
-
+    w, gf = as_fun(omega), as_fun(g)
+    ext = as_fun(lift_builtin(BUILTINS["ext"], COST))
+    xs = BaseList()
     total = 0
-    n = 0
     while True:
-        fill(n)
-        c_w, v = pair_parts(w.fn(prefix(n)))
+        c_w, v = pair_parts(w.fn(ext.fn(xs)))
         total += 5 + c_w
-        if as_base(v).value < n:
+        if as_base(v).value < len(xs):
             return total
-        fill(n + 1)
-        total += 5 + costs[n]
-        n += 1
-        if n > fuel.max_steps:
-            raise FuelExhausted(n)
+        c_g, v = pair_parts(gf.fn(Base(len(xs))))
+        total += 5 + c_g
+        xs = xs.snoc(as_base(v).value)
+        if len(xs) > fuel.max_steps:
+            raise FuelExhausted(len(xs))
 
 
 def verify_spector(
@@ -366,8 +333,8 @@ def verify_spector(
         full = app(search, omega_term, beta_term, list_term(()))
         res = evaluate(sig, full, fuel)
         rep = exact_cost(full, sig, fuel)
-        omega_fun = _pair_fun(sig, omega_term, fuel)
-        beta_fun = _pair_fun(sig, beta_term, fuel)
+        omega_fun = exact_cost(omega_term, sig, fuel).semantic
+        beta_fun = exact_cost(beta_term, sig, fuel).semantic
         closed = spector_closed_form(omega_fun, beta_fun, fuel)
         recurrence = _search_recurrence(omega_fun, beta_fun, fuel)
     except WritError as err:

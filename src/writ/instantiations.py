@@ -11,6 +11,9 @@
 Every recursor of every analysis is one combinator, recursor: a loop that
 climbs from the base case and charges each unfold under the analysis's
 effect triple. It unfolds at most the analysis's fuel in stages per call.
+The search bar is one combinator too, search: each round charges its
+fixed frame through the triple, and a call runs at most the fuel in
+rounds.
 
 Every builtin of every analysis is the signature's own, lifted by
 lift_builtin: once its last argument arrives, it runs the builtin's delta
@@ -69,7 +72,7 @@ __all__ = [
     "ModulusReport", "CostReport", "EXACT", "BOUND",
     "continuity_inst", "cost_exact_inst", "cost_bounded_inst", "majorizability_inst",
     "modulus", "exact_cost", "bounded_cost", "majorant",
-    "spector_closed_form", "semantic_join", "recursor", "lift_builtin",
+    "spector_closed_form", "semantic_join", "recursor", "search", "lift_builtin",
 ]
 
 EXACT = "exact"
@@ -199,6 +202,41 @@ def _fold_indices(xs: SemVal) -> tuple[int, ...]:
     return as_list(xs).items
 
 
+def search(eff: EffectTriple, ext: SemVal, fuel: Fuel = DEFAULT_FUEL) -> SemVal:
+    """The search combinator bar: the control functional, the finish, the
+    step, then the segment, given ext's interpretation.
+
+    Each round applies the functional to ext of the segment, then charges
+    four inc for the unfold, the comparison, the lookup closure and the
+    length. Once the functional answers below the segment's length, the
+    finish runs on the segment; otherwise the step runs on the segment and
+    on a continuation, which charges one inc (its beta step) on top of the
+    next round, on the segment extended by its argument. A call raises
+    FuelExhausted before it runs more than fuel.max_steps rounds.
+    """
+    inc, com, eps, limit = eff.inc, eff.com, eff.eps, fuel.max_steps
+
+    def run(w: SemVal, g: SemVal, h: SemVal, xs: BaseList, rounds: int) -> SemVal:
+        if rounds == limit:
+            raise FuelExhausted(limit)
+        c_w, decided = pair_parts(as_fun(w).fn(as_fun(ext).fn(xs)))
+        lead = inc(inc(inc(inc(c_w))))
+        if as_base(decided).value < len(xs):
+            c_g, out = pair_parts(as_fun(g).fn(xs))
+            return spair(com(lead, c_g, eps), out)
+
+        def cont(x: SemVal) -> SemVal:
+            c_next, out = pair_parts(run(w, g, h, xs.snoc(as_base(x).value), rounds + 1))
+            return spair(inc(c_next), out)
+
+        c_h, applied = pair_parts(as_fun(h).fn(xs))
+        c_call, out = pair_parts(as_fun(applied).fn(SFun(cont)))
+        return spair(com(lead, c_h, c_call), out)
+
+    return SFun(lambda w: SFun(lambda g: SFun(lambda h: SFun(
+        lambda a: run(w, g, h, as_list(a), 0)))))
+
+
 # ---------------------------------------------------------------- continuity
 
 def continuity_inst(g: OracleSpec, fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
@@ -219,43 +257,6 @@ def continuity_inst(g: OracleSpec, fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
 
 # ---------------------------------------------------------------- exact cost
 
-# depth guard for the host-level search recursion, generous for desk-scale
-# searches; each round takes several host frames, so under CPython's default
-# recursion limit RecursionError fires long before this does
-_SEARCH_DEPTH = 2000
-
-
-def _exact_bar(fuel: Fuel, ext: SemVal) -> SemVal:
-    """Step-exact denotation of the search combinator, given ext's.
-
-    Each recursive extension mirrors the rewrite trace: four fixed steps for
-    the unfold, the comparison, the lookup closure and the length, plus the
-    functional's own work, plus whichever branch runs.
-    """
-
-    def run(w: SemVal, g: SemVal, h: SemVal, xs: BaseList, depth: int) -> SemVal:
-        if depth <= 0:
-            raise FuelExhausted(fuel.max_steps)
-        c_w, decided = pair_parts(as_fun(w).fn(as_fun(ext).fn(xs)))
-        lead = 4 + c_w
-        if as_base(decided).value < len(xs):
-            c_g, out = pair_parts(as_fun(g).fn(xs))
-            return spair(lead + c_g, out)
-
-        # continuing costs one beta step before the next search round
-        def cont(x: SemVal) -> SemVal:
-            c_next, out = pair_parts(run(w, g, h, xs.snoc(as_base(x).value), depth - 1))
-            return spair(1 + c_next, out)
-
-        c_h, applied = pair_parts(as_fun(h).fn(xs))
-        c_call, out = pair_parts(as_fun(applied).fn(SFun(cont)))
-        return spair(lead + c_h + c_call, out)
-
-    depth0 = min(fuel.max_steps, _SEARCH_DEPTH)
-    return SFun(lambda w: SFun(lambda g: SFun(lambda h: SFun(
-        lambda a: run(w, g, h, as_list(a), depth0)))))
-
-
 def cost_exact_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
     """Step-count effects; predictions agree with the evaluator exactly."""
     builtins = _lifted(COST, ("add", "mul", "lt", "len", "ext"))
@@ -263,7 +264,7 @@ def cost_exact_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
         name="cost_exact",
         effect=COST,
         cons_interp=EXACT_CONS,
-        func_interp={**builtins, "bar": _exact_bar(fuel, builtins["ext"])},
+        func_interp={**builtins, "bar": search(COST, builtins["ext"], fuel)},
         func_families={
             "rec": recursor(COST, _rec_indices, fuel),
             "fold": recursor(COST, _fold_indices, fuel),
@@ -450,35 +451,19 @@ def spector_closed_form(omega: SemVal, g: SemVal, fuel: Fuel = DEFAULT_FUEL) -> 
     charges a fixed ten-step frame per round plus omega's own work on every
     prefix and g's work on every extension.
     """
-    w = as_fun(omega)
-    gf = as_fun(g)
-    g_cost: list[int] = []
-    g_val: list[int] = []
-
-    def fill(upto: int) -> None:
-        while len(g_val) < upto:
-            c, v = pair_parts(gf.fn(Base(len(g_val))))
-            g_cost.append(c)
-            g_val.append(as_base(v).value)
-
-    def prefix(n: int) -> SemVal:
-        # reading any position costs one step; positions past n read zero
-        def read(i: SemVal) -> SemVal:
-            k = as_base(i).value
-            return spair(1, Base(g_val[k] if k < n else 0))
-
-        return SFun(read)
-
+    w, gf = as_fun(omega), as_fun(g)
+    # reading any position costs one step; positions past the segment read zero
+    ext = as_fun(lift_builtin(BUILTINS["ext"], COST))
+    xs = BaseList()
     w_cost: list[int] = []
-    n = 0
+    g_cost: list[int] = []
     while True:
-        fill(n)
-        c, v = pair_parts(w.fn(prefix(n)))
+        c, v = pair_parts(w.fn(ext.fn(xs)))
         w_cost.append(c)
-        if as_base(v).value < n:
-            stop = n
-            break
-        n += 1
-        if n > fuel.max_steps:
-            raise FuelExhausted(n)
-    return 10 * stop + 5 + sum(w_cost) + sum(g_cost[:stop])
+        if as_base(v).value < len(xs):
+            return 10 * len(xs) + 5 + sum(w_cost) + sum(g_cost)
+        if len(xs) >= fuel.max_steps:
+            raise FuelExhausted(len(xs) + 1)
+        c, v = pair_parts(gf.fn(Base(len(xs))))
+        g_cost.append(c)
+        xs = xs.snoc(as_base(v).value)

@@ -122,7 +122,9 @@ def test_search_closed_form_equals_recurrence_on_five_pairs():
         assert rep.evidence["predicted"] == rep.evidence["observed"]
     # the flat control functional settles after six extensions
     assert reports[0].evidence["returned"] == 6
-    assert reports[0].evidence["closed_form"] == 78
+    # the closed form and the recurrence read the stream the same way, so
+    # pin their totals against drifting together
+    assert [r.evidence["closed_form"] for r in reports] == [78, 46, 20, 33, 54]
     assert time.monotonic() - started < 2.0
 
 

@@ -1,5 +1,8 @@
 """The four shipped analyses and their report-level operations."""
 
+import sys
+import threading
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +12,7 @@ from writ import (
     BOUND,
     COST,
     EXACT,
+    SEARCH_TEMPLATE,
     Base,
     Constant,
     Fuel,
@@ -34,12 +38,15 @@ from writ import (
     cost_exact_inst,
     denote,
     evaluate,
+    evaluate_with_oracle,
     exact_cost,
+    list_term,
     list_value,
     majorant,
     modulus,
     numeral,
     numeral_value,
+    oracle_from_string,
     pair_parts,
     parse_term,
     recursor,
@@ -50,7 +57,11 @@ from writ import (
     system_t,
     system_t_list,
     translate,
+    with_oracle,
 )
+from writ.engine import EXACT_CONS, Instantiation
+from writ.instantiations import lift_builtin, search
+from writ.signatures import BUILTINS
 
 FF2 = "fn f:Nat->Nat => f (f 2)"
 REC3 = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3"
@@ -443,6 +454,56 @@ def test_spector_closed_form_degenerate_budget():
     beta = SFun(lambda n: spair(1, Base(0)))
     with pytest.raises(FuelExhausted):
         spector_closed_form(omega, beta, Fuel(30))
+
+
+def test_search_runs_past_two_thousand_rounds_at_a_raised_limit():
+    # the benchmark's search family at K = 2,500 runs 2,501 rounds in one
+    # call; only the fuel and the host stack bound a call's rounds
+    t = parse_term(f"({SEARCH_TEMPLATE}) (fn f:Nat->Nat => 2500) (fn x:Nat => 0) []")
+    got = {}
+
+    def run():
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(40_000)
+        try:
+            got["predicted"] = exact_cost(t).predicted
+        finally:
+            sys.setrecursionlimit(old)
+
+    size = threading.stack_size(256 << 20)
+    try:
+        worker = threading.Thread(target=run)
+        worker.start()
+        worker.join()
+    finally:
+        threading.stack_size(size)
+    assert got["predicted"] == evaluate(signature_for(t), t).steps == 10 * 2500 + 19
+
+
+@pytest.mark.parametrize("omega, beta, log, value", [
+    ("fn f:Nat->Nat => alpha (f 0)", "fn x:Nat => alpha x", (0, 0, 3, 1, 3), 2),
+    ("fn f:Nat->Nat => add (f (alpha 1)) (f 2)", "fn x:Nat => alpha (succ x)", (1, 1, 1), 1),
+])
+def test_search_under_queries_logs_what_the_machine_queries(omega, beta, log, value):
+    g = oracle_from_string("table:0=3,1=0,2=4,default=1")
+
+    def alpha(n):
+        k = as_base(n).value
+        return spair((k,), Base(g(k)))
+
+    builtins = {name: lift_builtin(b, QUERIES) for name, b in BUILTINS.items()}
+    inst = Instantiation(
+        name="search_queries",
+        effect=QUERIES,
+        cons_interp=EXACT_CONS,
+        func_interp={**builtins, "bar": search(QUERIES, builtins["ext"]),
+                     "alpha": SFun(alpha)},
+    )
+    t = app(parse_term(SEARCH_TEMPLATE), parse_term(omega), parse_term(beta), list_term(()))
+    queries, out = pair_parts(denote(inst, {}, translate(with_oracle(bar_rec(), g), {}, t)))
+    res = evaluate_with_oracle(bar_rec(), t, g)
+    assert (tuple(queries), out) == (res.queries, Base(numeral_value(res.value)))
+    assert (res.queries, numeral_value(res.value)) == (log, value)
 
 
 # ---------------------------------------------------------------- the recursor
