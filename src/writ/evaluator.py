@@ -13,24 +13,30 @@ The function of an application is evaluated before its argument, so steps
 are charged, and oracle queries logged, in the order of the substitution
 semantics; finished values cost zero.
 
-A term is compiled once per machine. oracle_runner keeps one machine and its
-code for a term applied to alpha and reruns that code for each oracle it is
-given, so a modulus check compiles once and runs once per oracle.
+A term is compiled once per machine, and so is each rule, when its head is
+first met: its patterns become a matcher that takes the arguments apart by
+their host form and returns the rule's code with its environment. A symbol
+given its arity in arguments that are variables or constants compiles to
+one instruction, which reads them from the environment and fires the
+builtin or unfolds the rule at once; given fewer, it makes the partial
+application at once. oracle_runner keeps one machine and its code for a
+term applied to alpha and reruns that code for each oracle it is given, so
+a modulus check compiles once and runs once per oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .errors import FuelExhausted, StuckTerm
-from .signatures import BaseList, Builtin, OracleSpec, Signature, with_oracle
+from .signatures import BaseList, Builtin, OracleSpec, Rule, Signature, with_oracle
 from .syntax import (
     App,
     Cons,
     Lam,
     Lit,
-    Pattern,
     PVar,
     Term,
     Var,
@@ -77,17 +83,17 @@ class EvalResult:
 class _Head:
     """A constructor or function symbol, resolved once per run.
 
-    rules is None for symbols computed on the host (constructors and
-    builtins); charged tells the builtins, which cost a step, apart."""
+    rules, one matcher per rule, is None for symbols computed on the host
+    (constructors and builtins); charged tells the builtins, which cost a
+    step, apart."""
 
-    __slots__ = ("term", "arity", "delta", "charged", "oracle", "rules")
+    __slots__ = ("term", "arity", "delta", "charged", "rules")
 
     def __init__(self, term: Term, arity: int):
         self.term = term
         self.arity = arity
         self.delta = None
         self.charged = False
-        self.oracle = False
         self.rules: Optional[tuple] = None
 
 
@@ -116,10 +122,14 @@ class _Clo:
 # A term compiles to nested tuples whose first field is a tag:
 #   (_VAR, position)   (_CONST, value)   (_APP, function, argument)
 #   (_LAM, body, the lambda itself, the names in scope)
+#   (_CALL, head, read, constants)
 # A position indexes the environment, a tuple holding one value per
-# enclosing binder, outermost first.
+# enclosing binder, outermost first. _CALL is a symbol applied to its
+# leading arguments that are variables or constants, at most its arity of
+# them: read takes the environment followed by the constants to their
+# values.
 
-_VAR, _CONST, _LAM, _APP = range(4)
+_VAR, _CONST, _LAM, _APP, _CALL = range(5)
 
 
 def _cons_delta(head: _Head):
@@ -135,33 +145,60 @@ def _cons_delta(head: _Head):
     return lambda args: _PApp(head, args)
 
 
-def _pattern_names(patterns: tuple[Pattern, ...], out: list[str]) -> list[str]:
-    for p in patterns:
-        if isinstance(p, PVar):
-            out.append(p.name)
+def _take_apart(cons: str):
+    """A function from a value to the arguments of the constructor cons it
+    was built by, or to None if another constructor built it."""
+    if cons == "zero":
+        return lambda v: () if v == 0 else None
+    if cons == "succ":
+        return lambda v: (v - 1,) if v else None
+    if cons == "nil":
+        return lambda v: None if v.n else ()
+    if cons == "cons":
+        return lambda v: (v.init(), v.buf[v.n - 1]) if v.n else None
+    return lambda v: v.args if v.head.term.name == cons else None
+
+
+def _reader(positions: list[int]):
+    """A function from a tuple to the tuple of its items at positions."""
+    lo = positions[0] if positions else 0
+    if positions == list(range(lo, lo + len(positions))):
+        return itemgetter(slice(lo, lo + len(positions)))
+    return itemgetter(*positions)
+
+
+def _matcher(rule: Rule, compile: Callable[[Term, tuple[str, ...]], tuple]):
+    """A function from a rule's argument values to its code and environment,
+    or to None if its patterns do not match them.
+
+    The values sit in slots, the arguments first. Each constructor pattern
+    takes its slot's value apart into the next free slots, and the
+    environment reads the pattern variables' slots. compile gives the code
+    of the rule's right-hand side under the variables' names, in that
+    order."""
+    takes, picks, names = [], [], []
+    # the pattern of each slot; a constructor pattern's arguments are
+    # appended as it is walked, so the list grows while it is read
+    slots = list(rule.patterns)
+    for slot, p in enumerate(slots):
+        if type(p) is PVar:
+            picks.append(slot)
+            names.append(p.name)
         else:
-            _pattern_names(p.args, out)
-    return out
+            takes.append((slot, _take_apart(p.cons)))
+            slots += p.args
+    read = _reader(picks)
+    code = compile(rule.rhs, tuple(names))
 
+    def match(args: tuple):
+        for slot, take in takes:
+            parts = take(args[slot])
+            if parts is None:
+                return None
+            args += parts
+        return code, read(args)
 
-def _bind(p: Pattern, v, out: list) -> bool:
-    """Match one value against one pattern, appending what the pattern's
-    variables bind in the order _pattern_names lists them."""
-    if type(p) is PVar:
-        out.append(v)
-        return True
-    if type(v) is int:
-        if p.cons == "zero":
-            return v == 0
-        return v > 0 and _bind(p.args[0], v - 1, out)
-    if type(v) is BaseList:
-        n = v.n
-        if p.cons == "nil":
-            return n == 0
-        return (n > 0 and _bind(p.args[0], v.init(), out)
-                and _bind(p.args[1], v.buf[n - 1], out))
-    return (v.head.term.name == p.cons
-            and all(_bind(q, a, out) for q, a in zip(p.args, v.args)))
+    return match
 
 
 def _read_back(v) -> Term:
@@ -195,7 +232,33 @@ class _Machine:
 
     def compile(self, t: Term, names: tuple[str, ...]) -> tuple:
         if isinstance(t, App):
-            return (_APP, self.compile(t.fun, names), self.compile(t.arg, names))
+            # the spine is taken apart here, so each node compiles once
+            args = []
+            while isinstance(t, App):
+                args.append(t.arg)
+                t = t.fun
+            code = self.compile(t, names)
+            codes = []
+            for a in reversed(args):
+                codes.append(self.compile(a, names))
+            n = 0
+            if type(code[1]) is _PApp:
+                head = code[1].head
+                # the tags of a variable and a constant come first
+                while n < min(head.arity, len(codes)) and codes[n][0] <= _CONST:
+                    n += 1
+            if n:
+                positions, consts = [], []
+                for c in codes[:n]:
+                    if c[0] == _VAR:
+                        positions.append(c[1])
+                    else:
+                        positions.append(len(names) + len(consts))
+                        consts.append(c[1])
+                code = (_CALL, head, _reader(positions), tuple(consts))
+            for c in codes[n:]:
+                code = (_APP, code, c)
+            return code
         if isinstance(t, Lam):
             return (_LAM, self.compile(t.body, names + (t.var,)), t, names)
         if isinstance(t, Var):
@@ -221,28 +284,27 @@ class _Machine:
             return value
         impl = self.sig.func_decl(t.name).impl
         if isinstance(impl, Builtin):
-            head.delta = impl.delta
+            head.delta = self.logged(impl.delta) if impl.is_oracle else impl.delta
             head.charged = True
-            head.oracle = impl.is_oracle
         else:
-            head.rules = tuple(
-                (rule.patterns,
-                 self.compile(rule.rhs, tuple(_pattern_names(rule.patterns, []))))
-                for rule in impl
-            )
+            head.rules = tuple(_matcher(rule, self.compile) for rule in impl)
         return value
+
+    def logged(self, delta):
+        """delta, logging its argument in the current run's queries."""
+        def run(args):
+            self.queries.append(args[0])
+            return delta(args)
+        return run
 
     # ---- running
 
     def unfold(self, head: _Head, args: tuple) -> tuple[tuple, tuple]:
         """The right-hand side and environment of the rule that fires."""
-        for patterns, rhs in head.rules:
-            env: list = []
-            for p, v in zip(patterns, args):
-                if not _bind(p, v, env):
-                    break
-            else:
-                return rhs, tuple(env)
+        for match in head.rules:
+            hit = match(args)
+            if hit is not None:
+                return hit
         raise StuckTerm(render_term(_read_back(_PApp(head, args))))
 
     def run(self, code: tuple, env: tuple):
@@ -253,7 +315,7 @@ class _Machine:
         function value waits for its argument."""
         stack: list = []
         push, pop = stack.append, stack.pop
-        queries, steps, limit = self.queries, self.steps, self.limit
+        steps, limit, unfold = self.steps, self.limit, self.unfold
         while True:
             while code[0] == _APP:
                 push((code[2], env))
@@ -263,8 +325,25 @@ class _Machine:
                 v = env[code[1]]
             elif tag == _CONST:
                 v = code[1]
-            else:
+            elif tag == _LAM:
                 v = _Clo(code, env)
+            else:
+                head = code[1]
+                args = code[2](env + code[3])
+                if len(args) < head.arity:
+                    v = _PApp(head, args)
+                elif head.rules is None:
+                    if head.charged:
+                        steps += 1
+                        if steps > limit:
+                            raise FuelExhausted(steps)
+                    v = head.delta(args)
+                else:
+                    code, env = unfold(head, args)
+                    steps += 1
+                    if steps > limit:
+                        raise FuelExhausted(steps)
+                    continue
             while stack:
                 f = pop()
                 if type(f) is tuple:
@@ -292,14 +371,12 @@ class _Machine:
                     if head.rules is None:
                         # a constructor is free, a builtin unfold one step
                         if head.charged:
-                            if head.oracle:
-                                queries.append(args[0])
                             steps += 1
                             if steps > limit:
                                 raise FuelExhausted(steps)
                         v = head.delta(args)
                         continue
-                    code, env = self.unfold(head, args)
+                    code, env = unfold(head, args)
                 # one step, a beta or a rule unfold, to run code in env
                 steps += 1
                 if steps > limit:

@@ -302,6 +302,8 @@ def _search_recurrence(omega: SemVal, g: SemVal, fuel: Fuel) -> int:
     xs = BaseList()
     total = 0
     while True:
+        if len(xs) == fuel.max_steps:
+            raise FuelExhausted(fuel.max_steps)
         c_w, v = pair_parts(w.fn(ext.fn(xs)))
         total += 5 + c_w
         if as_base(v).value < len(xs):
@@ -309,8 +311,6 @@ def _search_recurrence(omega: SemVal, g: SemVal, fuel: Fuel) -> int:
         c_g, v = pair_parts(gf.fn(Base(len(xs))))
         total += 5 + c_g
         xs = xs.snoc(as_base(v).value)
-        if len(xs) > fuel.max_steps:
-            raise FuelExhausted(len(xs))
 
 
 def verify_spector(

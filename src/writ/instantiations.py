@@ -458,12 +458,13 @@ def spector_closed_form(omega: SemVal, g: SemVal, fuel: Fuel = DEFAULT_FUEL) -> 
     w_cost: list[int] = []
     g_cost: list[int] = []
     while True:
+        # at most fuel.max_steps rounds, as search runs
+        if len(xs) == fuel.max_steps:
+            raise FuelExhausted(fuel.max_steps)
         c, v = pair_parts(w.fn(ext.fn(xs)))
         w_cost.append(c)
         if as_base(v).value < len(xs):
             return 10 * len(xs) + 5 + sum(w_cost) + sum(g_cost)
-        if len(xs) >= fuel.max_steps:
-            raise FuelExhausted(len(xs) + 1)
         c, v = pair_parts(gf.fn(Base(len(xs))))
         g_cost.append(c)
         xs = xs.snoc(as_base(v).value)

@@ -54,6 +54,7 @@ from writ import (
     SFun,
     SPair,
     Signature,
+    StuckTerm,
     Table,
     UnsupportedSymbol,
     Var,
@@ -70,6 +71,7 @@ from writ import (
     denote,
     evaluate,
     exact_cost,
+    list_term,
     list_value,
     majorant,
     majorizability_inst,
@@ -102,6 +104,8 @@ def _outcome(run, sig, term, fuel):
         res = run(sig, term, fuel)
     except FuelExhausted as err:
         return ("fuel", err.steps)
+    except StuckTerm as err:
+        return ("stuck", str(err))
     except _TooBig:
         return ("too big",)
     return (render_term(res.value), res.steps, res.queries)
@@ -237,6 +241,17 @@ TRICKY = [
     "cons [1]",
     "rec[List] [2]",
     "(fn f:Nat->Nat => f) (add 2)",
+    # a rule-defined symbol on arguments that take steps, and passed unsaturated
+    "rec[Nat] (add 1 2) (fn n:Nat => fn p:Nat => succ p) (mul 2 2)",
+    "(fn r:Nat->Nat => r 3) (rec[Nat] 0 (fn n:Nat => fn p:Nat => add n p))",
+    "(fn xs:List => fold[Nat] 0 (fn n:Nat => fn p:Nat => add n p) xs) [1,2]",
+    # a call given more arguments than its arity
+    "(fn a:Nat->Nat => fn g:Nat->(Nat->Nat)->Nat->Nat => rec[Nat->Nat] a g 2 5) "
+    "(fn x:Nat => x) (fn n:Nat => fn f:Nat->Nat => fn x:Nat => f (succ x))",
+    # a call's arguments: a constant before a variable, variables out of order
+    "(fn y:Nat => add 4 y) 3",
+    "(fn x:Nat => fn y:Nat => lt y x) 2 5",
+    "(fn x:Nat => fn y:Nat => cons (cons [] y) x) 1 2",
 ]
 
 
@@ -259,6 +274,63 @@ def test_datatype_without_host_form_agrees():
     boxed = App(Lam("n", NAT, App(Cons("box"), App(Cons("succ"), Var("n")))), numeral(2))
     assert assert_agree(sig, boxed) == ("box 3", 1, ())
     assert assert_agree(sig, App(Func("unbox"), boxed)) == ("3", 2, ())
+
+
+def _nested_signature() -> Signature:
+    """Rules whose patterns nest constructors two deep, on numerals, lists
+    and a datatype with no host form; pred2, last2 and unbox have no rule
+    for some values."""
+    box = Data("Box")
+    n, xs, a, b = PVar("n", NAT), PVar("xs", LIST), PVar("a", NAT), PVar("b", NAT)
+
+    def succ(p):
+        return PCons("succ", (p,))
+
+    zero, nil = PCons("zero", ()), PCons("nil", ())
+    nat_nat = Arrow(NAT, NAT)
+    return Signature(
+        "nested", {"Nat", "List", "Box"},
+        {"zero": ConsDecl((), "Nat"), "succ": ConsDecl(("Nat",), "Nat"),
+         "nil": ConsDecl((), "List"), "cons": ConsDecl(("List", "Nat"), "List"),
+         "box": ConsDecl(("Nat",), "Box"), "empty": ConsDecl((), "Box")},
+        {"add": FuncDecl(Arrow(NAT, nat_nat), BUILTINS["add"]),
+         "pred2": FuncDecl(nat_nat, (Rule((succ(succ(n)),), Var("n")),)),
+         "half": FuncDecl(nat_nat, (
+             Rule((zero,), numeral(0)),
+             Rule((succ(zero),), numeral(0)),
+             Rule((succ(succ(n)),), App(Cons("succ"), App(Func("half"), Var("n")))))),
+         "last2": FuncDecl(Arrow(LIST, NAT), (
+             Rule((PCons("cons", (PCons("cons", (xs, a)), b)),),
+                  App(App(Func("add"), Var("a")), Var("b"))),
+             Rule((PCons("cons", (nil, b)),), Var("b")))),
+         "unbox": FuncDecl(Arrow(box, NAT), (
+             Rule((PCons("empty", ()),), numeral(0)),
+             Rule((PCons("box", (succ(n),)),), Var("n"))))},
+    )
+
+
+NESTED = [
+    (App(Func("pred2"), numeral(5)), ("3", 1, ())),
+    (App(Func("half"), numeral(7)), ("3", 4, ())),
+    (App(Lam("x", NAT, App(Func("half"), Var("x"))), numeral(6)), ("3", 5, ())),
+    (App(Func("last2"), list_term((1, 2, 3))), ("5", 2, ())),
+    (App(Func("last2"), list_term((4,))), ("4", 1, ())),
+    (App(Func("unbox"), App(Cons("box"), numeral(3))), ("2", 1, ())),
+    (App(Func("unbox"), Cons("empty")), ("0", 1, ())),
+    (App(Lam("f", Arrow(NAT, NAT), App(Var("f"), numeral(4))), Func("pred2")), ("2", 2, ())),
+    # no rule matches: the machine reports the stuck call as the reference does
+    (App(Func("pred2"), numeral(1)), ("stuck", "no rewrite applies to 'pred2 1'")),
+    (App(Lam("x", NAT, App(Func("pred2"), App(Cons("succ"), Var("x")))), numeral(0)),
+     ("stuck", "no rewrite applies to 'pred2 1'")),
+    (App(Func("last2"), list_term(())), ("stuck", "no rewrite applies to 'last2 []'")),
+    (App(Func("unbox"), App(Cons("box"), numeral(0))),
+     ("stuck", "no rewrite applies to 'unbox (box 0)'")),
+]
+
+
+@pytest.mark.parametrize("term, expected", NESTED, ids=[render_term(t) for t, _ in NESTED])
+def test_nested_patterns_agree(term, expected):
+    assert assert_agree(_nested_signature(), term) == expected
 
 
 # ---------------------------------------------------------------- generated

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from reference_eval import is_value
 from writ import (
+    App,
     Constant,
     Fuel,
     FuelExhausted,
@@ -27,6 +28,7 @@ from writ import (
     system_t,
     system_t_list,
 )
+from writ.evaluator import _Machine
 
 REC3 = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3"
 FF2 = "fn f:Nat->Nat => f (f 2)"
@@ -224,3 +226,43 @@ def test_deep_runs_need_no_more_than_the_default_recursion_limit():
     assert [(numeral_value(r.value), r.steps) for r in counted] == [
         (900, 3 * 900 + 1), (3000, 3 * 3000 + 1)]
     assert (numeral_value(summed.value), summed.steps) == (sum(items), 4 * 400 + 1)
+
+
+def _nodes(t) -> int:
+    count, todo = 0, [t]
+    while todo:
+        s = todo.pop()
+        count += 1
+        if isinstance(s, App):
+            todo += (s.fun, s.arg)
+        elif isinstance(s, Lam):
+            todo.append(s.body)
+    return count
+
+
+def test_compiling_a_deep_nest_visits_each_node_once_one_frame_a_level(monkeypatch):
+    # a spine's arguments are compiled once, not once to look at and again
+    # to use, and each level of nesting costs the compiler one host frame
+    depth = 300
+    term = parse_term("(fn x:Nat => " + "succ (" * depth + "x" + ")" * depth + ") 0")
+    nodes = _nodes(term)
+    real = _Machine.compile
+    calls, live, deepest = 0, 0, 0
+
+    def counted(self, t, names):
+        nonlocal calls, live, deepest
+        calls += 1
+        # stop at once: compiling each argument twice is exponential here
+        assert calls <= nodes, "a node was compiled twice"
+        live += 1
+        deepest = max(deepest, live)
+        try:
+            return real(self, t, names)
+        finally:
+            live -= 1
+
+    monkeypatch.setattr(_Machine, "compile", counted)
+    res = evaluate(system_t(), term)
+    assert (numeral_value(res.value), res.steps) == (depth, 1)
+    assert nodes == 2 * depth + 4
+    assert deepest <= depth + 3

@@ -14,6 +14,7 @@ from writ import (
     EXACT,
     SEARCH_TEMPLATE,
     Base,
+    BaseList,
     Constant,
     Fuel,
     FuelExhausted,
@@ -60,6 +61,7 @@ from writ import (
     with_oracle,
 )
 from writ.engine import EXACT_CONS, Instantiation
+from writ.harness import _search_recurrence
 from writ.instantiations import lift_builtin, search
 from writ.signatures import BUILTINS
 
@@ -450,10 +452,22 @@ def test_spector_closed_form_probing_functional():
 
 
 def test_spector_closed_form_degenerate_budget():
+    # a functional that never settles: the closed form, the round-by-round
+    # recurrence and the search itself all stop at the budget of 30 rounds
+    # and report that budget
     omega = SFun(lambda f: spair(1, Base(10 ** 9)))
     beta = SFun(lambda n: spair(1, Base(0)))
-    with pytest.raises(FuelExhausted):
-        spector_closed_form(omega, beta, Fuel(30))
+    h = SFun(lambda xs: spair(0, SFun(lambda k: as_fun(k).fn(Base(0)))))
+    bar = search(COST, lift_builtin(BUILTINS["ext"], COST), Fuel(30))
+    runs = (
+        lambda: spector_closed_form(omega, beta, Fuel(30)),
+        lambda: _search_recurrence(omega, beta, Fuel(30)),
+        lambda: as_fun(as_fun(as_fun(as_fun(bar).fn(omega)).fn(beta)).fn(h)).fn(BaseList()),
+    )
+    for run in runs:
+        with pytest.raises(FuelExhausted) as err:
+            run()
+        assert err.value.steps == 30
 
 
 def test_search_runs_past_two_thousand_rounds_at_a_raised_limit():
