@@ -201,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trials", type=int, default=100,
                        help="perturbation trials per modulus verification")
         p.add_argument("--sig", choices=sorted(_SIGS),
-                       help="signature override (default: inferred from the term)")
+                       help="signature override, read by check, eval, translate and cost "
+                            "(default: inferred from the term)")
         fmt = p.add_mutually_exclusive_group()
         fmt.add_argument("--json", dest="output", action="store_const", const="json",
                          help="JSON output (default)")

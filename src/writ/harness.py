@@ -33,14 +33,10 @@ from .parser import parse_term
 from .signatures import (
     BUILTINS,
     OracleSpec,
-    Signature,
     bar_rec,
     oracle_from_string,
     oracle_label,
     signature_for,
-    system_t,
-    system_t_list,
-    with_oracle,
 )
 from .syntax import (
     App,
@@ -120,7 +116,6 @@ def _err(e: WritError) -> str:
 # ---------------------------------------------------------------- exact cost
 
 def verify_exact_cost(
-    sig: Signature,
     e: Term,
     term_id: str = "",
     inst: Optional[Instantiation] = None,
@@ -128,6 +123,7 @@ def verify_exact_cost(
 ) -> VerifyReport:
     """Predicted steps must equal observed steps, with zero tolerance."""
     term_id = term_id or render_term(e)
+    sig = signature_for(e)
     try:
         res = evaluate(sig, e, fuel)
         rep = exact_cost(e, sig, fuel, inst=inst)
@@ -168,14 +164,11 @@ def verify_modulus(
         raise ValueError("trials must not be negative")
     term_id = term_id or render_term(e)
     analysis = f"modulus({oracle_label(g)})"
-    applied = App(e, Func("alpha"))
-    base = system_t()
     try:
+        # modulus checks that e has type two, so e applied to alpha is well
+        # typed under every oracle
         rep = modulus(e, g, fuel, inst=inst)
-        # alpha has one type under every oracle, so this check covers the
-        # perturbed runs below as well
-        typecheck(with_oracle(base, g), {}, applied)
-        run = oracle_runner(base, applied, fuel)
+        run = oracle_runner(signature_for(e), App(e, Func("alpha")), fuel)
         res = run(g)
     except WritError as err:
         return _fail(term_id, analysis, _err(err), trials=trials, seed=seed)
@@ -238,7 +231,7 @@ def verify_bound(
     term_id = term_id or render_term(e)
     try:
         rep = bounded_cost(e, fuel, inst=inst)
-        res = evaluate(system_t_list(), e, fuel)
+        res = evaluate(signature_for(e), e, fuel)
     except WritError as err:
         return _fail(term_id, "bound", _err(err))
     evidence: dict[str, object] = {"predicted": rep.predicted, "observed": res.steps}
@@ -403,6 +396,9 @@ def _annotations(text: str) -> list[str]:
     return _split_specs(m.group(1)) if m else []
 
 
+_CHECKS = {"cost": verify_exact_cost, "bound": verify_bound, "majorant": verify_majorant}
+
+
 def _dispatch(
     spec: str,
     term: Term,
@@ -411,12 +407,9 @@ def _dispatch(
     trials: int,
     seed: int,
 ) -> VerifyReport:
-    if spec == "cost":
-        return verify_exact_cost(signature_for(term), term, term_id=term_id, fuel=fuel)
-    if spec == "bound":
-        return verify_bound(term, term_id=term_id, fuel=fuel)
-    if spec == "majorant":
-        return verify_majorant(term, term_id=term_id, fuel=fuel)
+    check = _CHECKS.get(spec)
+    if check is not None:
+        return check(term, term_id=term_id, fuel=fuel)
     m = re.fullmatch(r"modulus\((.*)\)", spec)
     if m:
         try:

@@ -3,10 +3,12 @@
 - continuity: effects are query lists; the modulus of a type-two functional
   falls out of the queries its denotation makes.
 - cost_exact: effects are step counts; predictions match the evaluator
-  exactly.
+  exactly. It and continuity are one table, _exact_inst, under two effects.
 - cost_bounded: values are size bounds and effects are step-count upper
   bounds over the list fragment.
 - majorizability: no effect at all; values dominate the true results.
+
+Every analysis reads a term under its own signature, signature_for(e).
 
 Every recursor of every analysis is one combinator, recursor: a loop that
 climbs from the base case and charges each unfold under the analysis's
@@ -55,9 +57,7 @@ from .engine import (
 )
 from .evaluator import DEFAULT_FUEL, Fuel
 from .meta import _translate, translate
-from .signatures import (
-    BUILTINS, Builtin, OracleSpec, Signature, signature_for, system_t, system_t_list,
-)
+from .signatures import BUILTINS, Builtin, OracleSpec, Signature, signature_for
 from .syntax import (
     NAT,
     Arrow,
@@ -237,39 +237,37 @@ def search(eff: EffectTriple, ext: SemVal, fuel: Fuel = DEFAULT_FUEL) -> SemVal:
         lambda a: run(w, g, h, as_list(a), 0)))))
 
 
-# ---------------------------------------------------------------- continuity
+# ---------------------------------------------------------------- exact analyses
+
+def _exact_inst(name: str, eff: EffectTriple, fuel: Fuel, **extra: SemVal) -> Instantiation:
+    """Exact values under eff: every builtin of the signatures lifted, the
+    search bar, and both recursor families, plus the extra symbols given."""
+    builtins = _lifted(eff, BUILTINS)
+    return Instantiation(
+        name=name,
+        effect=eff,
+        cons_interp=EXACT_CONS,
+        func_interp={**builtins, "bar": search(eff, builtins["ext"], fuel), **extra},
+        func_families={
+            "rec": recursor(eff, _rec_indices, fuel),
+            "fold": recursor(eff, _fold_indices, fuel),
+        },
+    )
+
 
 def continuity_inst(g: OracleSpec, fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
-    """Query-log effects over the numeral-recursion fragment plus the oracle."""
+    """Query-log effects over every shipped signature plus the oracle."""
 
     def alpha(n: SemVal) -> SemVal:
         k = as_base(n).value
         return spair((k,), Base(g(k)))
 
-    return Instantiation(
-        name="continuity",
-        effect=QUERIES,
-        cons_interp=EXACT_CONS,
-        func_interp={"alpha": SFun(alpha)},
-        func_families={"rec": recursor(QUERIES, _rec_indices, fuel)},
-    )
+    return _exact_inst("continuity", QUERIES, fuel, alpha=SFun(alpha))
 
-
-# ---------------------------------------------------------------- exact cost
 
 def cost_exact_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
     """Step-count effects; predictions agree with the evaluator exactly."""
-    builtins = _lifted(COST, ("add", "mul", "lt", "len", "ext"))
-    return Instantiation(
-        name="cost_exact",
-        effect=COST,
-        cons_interp=EXACT_CONS,
-        func_interp={**builtins, "bar": search(COST, builtins["ext"], fuel)},
-        func_families={
-            "rec": recursor(COST, _rec_indices, fuel),
-            "fold": recursor(COST, _fold_indices, fuel),
-        },
-    )
+    return _exact_inst("cost_exact", COST, fuel)
 
 
 # ---------------------------------------------------------------- bounded cost
@@ -367,13 +365,13 @@ def modulus(
 ) -> ModulusReport:
     """Support and modulus of a closed type-two term applied to the oracle g.
 
-    The term must live in the numeral-recursion fragment (no oracle symbol
-    inside, no search combinator) and have type (Nat->Nat)->Nat. It is
+    The term must have type (Nat->Nat)->Nat under its own signature, so
+    it may use lists and the search bar but not the oracle symbol. It is
     applied to the instantiation's own alpha, which reads g and logs each
     query. The modulus is one past the largest queried position, or zero
     when nothing is queried.
     """
-    sig = system_t()
+    sig = signature_for(e)
     ty = typecheck(sig, {}, e)
     if ty != _TYPE_TWO:
         raise TypeMismatch(render_type(_TYPE_TWO), render_type(ty), render_term(e))
@@ -422,7 +420,7 @@ def bounded_cost(
             raise UnsupportedSymbol(
                 name, "sizes are uniform on numerals, so numeral recursion depth is invisible"
             )
-    sig = system_t_list()
+    sig = signature_for(e)
     active = inst if inst is not None else cost_bounded_inst(fuel)
     cost, value = pair_parts(denote(active, {}, translate(sig, {}, e)))
     return CostReport(predicted=cost, semantic=value, mode=BOUND)

@@ -99,7 +99,7 @@ def test_exact_cost_is_observed_cost_across_corpus():
     seen: set[str] = set()
     for name, term in picked:
         seen |= symbols(term)
-        rep = verify_exact_cost(signature_for(term), term, term_id=name)
+        rep = verify_exact_cost(term, term_id=name)
         assert rep.passed, (name, rep.details, dict(rep.evidence))
         assert rep.evidence["predicted"] == rep.evidence["observed"]
     # the corpus must exercise the recursor, the fold, the one-step
@@ -239,9 +239,7 @@ def test_each_verifier_rejects_its_planted_mutant():
     sum23 = parse_term("add 2 3")
     g = Identity()
 
-    assert not verify_exact_cost(
-        system_t(), rec3, inst=overcharging_exact_inst()
-    ).passed
+    assert not verify_exact_cost(rec3, inst=overcharging_exact_inst()).passed
     assert not verify_modulus(
         ff2, g, trials=10, inst=forgetful_continuity_inst(g)
     ).passed
@@ -249,7 +247,7 @@ def test_each_verifier_rejects_its_planted_mutant():
     assert not verify_majorant(sum23, inst=shrinking_majorizability_inst()).passed
 
     # the stock instantiations accept the very same terms
-    assert verify_exact_cost(system_t(), rec3).passed
+    assert verify_exact_cost(rec3).passed
     assert verify_modulus(ff2, g, trials=10).passed
     assert verify_bound(fold2).passed
     assert verify_majorant(sum23).passed

@@ -44,7 +44,6 @@ from writ import (
     FuncDecl,
     Func,
     Identity,
-    Instantiation,
     Lam,
     MissingInterpretation,
     PCons,
@@ -61,7 +60,6 @@ from writ import (
     WritError,
     as_base,
     as_fun,
-    as_list,
     as_pair,
     bar_rec,
     bounded_cost,
@@ -79,7 +77,6 @@ from writ import (
     numeral,
     numeral_value,
     parse_term,
-    recursor,
     render_semval,
     render_term,
     signature_for,
@@ -89,9 +86,8 @@ from writ import (
     verify_modulus,
     with_oracle,
 )
-from writ.engine import EXACT_CONS
 from writ.evaluator import evaluate_typed, oracle_runner
-from writ.instantiations import lift_builtin
+from writ.instantiations import _exact_inst
 from writ.signatures import BUILTINS
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -392,10 +388,17 @@ def test_generated_t_terms_agree(term):
     assert_agree(_generated_signature(lists=False), term, _GEN_FUEL)
 
 
+# a type-two functional over system_t or over the list signature, with the
+# flag that says which
+FUNCTIONALS = st.booleans().flatmap(
+    lambda lists: st.tuples(st.just(lists), closed_terms(FUNCTIONAL, lists=lists)))
+
+
 @_GEN
-@given(closed_terms(FUNCTIONAL, lists=False), st.sampled_from(ORACLES))
-def test_generated_functionals_agree_under_oracles(term, g):
-    sig = with_oracle(_generated_signature(lists=False), g)
+@given(FUNCTIONALS, st.sampled_from(ORACLES))
+def test_generated_functionals_agree_under_oracles(drawn, g):
+    lists, term = drawn
+    sig = with_oracle(_generated_signature(lists), g)
     assert typecheck(sig, {}, term) == FUNCTIONAL
     assert_agree(sig, App(term, Func("alpha")), _GEN_FUEL)
 
@@ -477,9 +480,10 @@ def test_generated_arithmetic_terms_analyses_agree(term):
 
 
 @_GEN
-@given(closed_terms(FUNCTIONAL, lists=False), st.sampled_from(ORACLES))
-def test_generated_functionals_query_their_modulus_support_in_order(term, g):
-    res = _finished(with_oracle(_generated_signature(lists=False), g), App(term, Func("alpha")))
+@given(FUNCTIONALS, st.sampled_from(ORACLES))
+def test_generated_functionals_query_their_modulus_support_in_order(drawn, g):
+    lists, term = drawn
+    res = _finished(with_oracle(_generated_signature(lists), g), App(term, Func("alpha")))
     if res is None:
         return
     rep = modulus(term, g)
@@ -489,9 +493,10 @@ def test_generated_functionals_query_their_modulus_support_in_order(term, g):
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(closed_terms(FUNCTIONAL, lists=False), st.sampled_from(ORACLES), st.integers(0, 99))
-def test_generated_functionals_pass_verify_modulus(term, g, seed):
-    if _finished(with_oracle(_generated_signature(lists=False), g),
+@given(FUNCTIONALS, st.sampled_from(ORACLES), st.integers(0, 99))
+def test_generated_functionals_pass_verify_modulus(drawn, g, seed):
+    lists, term = drawn
+    if _finished(with_oracle(_generated_signature(lists), g),
                  App(term, Func("alpha"))) is None:
         return
     rep = verify_modulus(term, g, trials=5, seed=seed)
@@ -516,19 +521,6 @@ class _Reads(CountingDict):
         return super().get(key, default)
 
 
-def _shapes_inst(fuel):
-    """SHAPES effects everywhere, in the builtins and the recursors too."""
-    return Instantiation(
-        name="shapes",
-        effect=SHAPES,
-        cons_interp=EXACT_CONS,
-        func_interp={name: lift_builtin(BUILTINS[name], SHAPES)
-                     for name in ("add", "mul", "lt", "len", "ext")},
-        func_families={"rec": recursor(SHAPES, lambda n: range(as_base(n).value), fuel),
-                       "fold": recursor(SHAPES, lambda xs: as_list(xs).items, fuel)},
-    )
-
-
 # (name, instantiation for a fuel, oracle for the term's translation)
 INSTS = [
     ("cost_exact", cost_exact_inst, None),
@@ -536,7 +528,8 @@ INSTS = [
     ("majorizability", majorizability_inst, None),
     *((f"continuity-{g.__class__.__name__.lower()}",
        lambda fuel, g=g: continuity_inst(g, fuel), g) for g in ORACLES),
-    ("shapes", _shapes_inst, None),
+    # SHAPES effects everywhere, in the builtins and the recursors too
+    ("shapes", lambda fuel: _exact_inst("shapes", SHAPES, fuel), None),
 ]
 
 

@@ -17,8 +17,6 @@ from writ import (
     Table,
     parse_term,
     run_corpus,
-    signature_for,
-    system_t,
     verify_bound,
     verify_exact_cost,
     verify_file,
@@ -34,7 +32,7 @@ FOLD2 = "fold[Nat] 0 (fn n:Nat => fn p:Nat => succ p) [7,7]"
 
 
 def test_report_shape_and_serialization():
-    rep = verify_exact_cost(system_t(), parse_term(REC3), term_id="rec3")
+    rep = verify_exact_cost(parse_term(REC3), term_id="rec3")
     assert rep.passed
     assert rep.term_id == "rec3"
     assert rep.analysis == "cost"
@@ -45,14 +43,12 @@ def test_report_shape_and_serialization():
 
 
 def test_default_term_id_is_the_rendered_term():
-    rep = verify_exact_cost(system_t(), parse_term("(fn x:Nat => x) 0"))
+    rep = verify_exact_cost(parse_term("(fn x:Nat => x) 0"))
     assert rep.term_id == "(fn x:Nat => x) 0"
 
 
 def test_verify_exact_cost_catches_overcharging():
-    rep = verify_exact_cost(
-        system_t(), parse_term(REC3), term_id="rec3", inst=overcharging_exact_inst()
-    )
+    rep = verify_exact_cost(parse_term(REC3), term_id="rec3", inst=overcharging_exact_inst())
     assert not rep.passed
     assert rep.details == "predicted steps differ from observed"
     assert rep.evidence["predicted"] > rep.evidence["observed"]

@@ -13,6 +13,7 @@ from writ import (
     COST,
     EXACT,
     SEARCH_TEMPLATE,
+    App,
     Base,
     BaseList,
     Constant,
@@ -36,6 +37,7 @@ from writ import (
     as_fun,
     bar_rec,
     bounded_cost,
+    continuity_inst,
     cost_exact_inst,
     denote,
     evaluate,
@@ -58,9 +60,9 @@ from writ import (
     system_t,
     system_t_list,
     translate,
+    verify_modulus,
     with_oracle,
 )
-from writ.engine import EXACT_CONS, Instantiation
 from writ.harness import _search_recurrence
 from writ.instantiations import lift_builtin, search
 from writ.signatures import BUILTINS
@@ -125,9 +127,6 @@ def test_modulus_support_preserves_query_order():
 
 
 def test_modulus_agrees_with_live_evaluation():
-    from writ import evaluate_with_oracle
-    from writ.syntax import App, Func
-
     t = parse_term(FF2)
     for g in (Identity(), Constant(5), Table(((0, 9), (1, 3)))):
         rep = modulus(t, g)
@@ -139,9 +138,6 @@ def test_modulus_agrees_with_live_evaluation():
 def test_modulus_support_keeps_queries_on_both_sides_of_the_recursive_value():
     # each stage queries succ n before it reads the stages below it, and
     # succ (succ p) after, so its two queries sit on either side of theirs
-    from writ import evaluate_with_oracle
-    from writ.syntax import App
-
     t = parse_term("fn f:Nat->Nat => rec[Nat] 0 (fn n:Nat => "
                    "(fn q:Nat => fn p:Nat => f (succ (succ p))) (f (succ n))) 3")
     rep = modulus(t, Identity())
@@ -158,10 +154,38 @@ def test_modulus_requires_type_two():
 
 
 def test_modulus_rejects_symbols_outside_the_fragment():
+    # the fragment is the term's own signature: lists are in it, the
+    # oracle symbol is not
     with pytest.raises(UndeclaredSymbol):
         modulus(parse_term("fn f:Nat->Nat => f (alpha 1)"), Identity())
-    with pytest.raises(UndeclaredSymbol):
-        modulus(parse_term("fn f:Nat->Nat => f (len [])"), Identity())
+    rep = modulus(parse_term("fn f:Nat->Nat => f (len [])"), Identity())
+    assert rep == ModulusReport(phi=1, support=(0,), predicted_value=0)
+
+
+_STEP = "(fn v:List => fn p:Nat->Nat => p (f (len v)))"
+LIST_AND_SEARCH_FUNCTIONALS = [
+    # two searches whose control functional reads the oracle
+    f"fn f:Nat->Nat => bar (fn g:Nat->Nat => f (g 0)) (fn u:List => len u) {_STEP} []",
+    f"fn f:Nat->Nat => bar (fn g:Nat->Nat => g (f 1)) (fn u:List => ext u 0) {_STEP} []",
+    *(f"fn f:Nat->Nat => {body}" for body in (
+        "fold[Nat] 0 (fn n:Nat => fn p:Nat => add (f n) p) [1,4,2]",
+        "ext (cons (cons [] (f 3)) (f 0)) (f 1)",
+        "mul (f 2) (lt (f 1) (f 5))",
+        "len (fold[List] [] (fn n:Nat => fn p:List => cons p (f n)) [0,1,2,3])",
+        "f (len [])",
+    )),
+]
+
+
+@pytest.mark.parametrize("oracle", ["identity", "constant:2", "table:0=3,1=0,2=4,default=1"])
+@pytest.mark.parametrize("src", LIST_AND_SEARCH_FUNCTIONALS)
+def test_modulus_of_list_and_search_functionals_is_what_the_machine_queries(src, oracle):
+    t, g = parse_term(src), oracle_from_string(oracle)
+    rep = modulus(t, g)
+    live = evaluate_with_oracle(signature_for(t), App(t, Func("alpha")), g)
+    assert (rep.support, rep.predicted_value) == (live.queries, numeral_value(live.value))
+    report = verify_modulus(t, g, trials=100)
+    assert report.passed, report.details
 
 
 # ---------------------------------------------------------------- exact cost
@@ -500,21 +524,9 @@ def test_search_runs_past_two_thousand_rounds_at_a_raised_limit():
 ])
 def test_search_under_queries_logs_what_the_machine_queries(omega, beta, log, value):
     g = oracle_from_string("table:0=3,1=0,2=4,default=1")
-
-    def alpha(n):
-        k = as_base(n).value
-        return spair((k,), Base(g(k)))
-
-    builtins = {name: lift_builtin(b, QUERIES) for name, b in BUILTINS.items()}
-    inst = Instantiation(
-        name="search_queries",
-        effect=QUERIES,
-        cons_interp=EXACT_CONS,
-        func_interp={**builtins, "bar": search(QUERIES, builtins["ext"]),
-                     "alpha": SFun(alpha)},
-    )
     t = app(parse_term(SEARCH_TEMPLATE), parse_term(omega), parse_term(beta), list_term(()))
-    queries, out = pair_parts(denote(inst, {}, translate(with_oracle(bar_rec(), g), {}, t)))
+    mt = translate(with_oracle(bar_rec(), g), {}, t)
+    queries, out = pair_parts(denote(continuity_inst(g), {}, mt))
     res = evaluate_with_oracle(bar_rec(), t, g)
     assert (tuple(queries), out) == (res.queries, Base(numeral_value(res.value)))
     assert (res.queries, numeral_value(res.value)) == (log, value)
