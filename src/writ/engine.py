@@ -12,9 +12,10 @@ symbol interpretations changes the analysis without touching the
 interpreter. denote flattens the top level and each closure's body into a
 list of entries, and compiles each list once into a cached host function
 with one statement per entry rather than running a loop over its nodes.
-Closures are flat: a body's function takes the values it reads from the
-scopes around it by position, ahead of its argument, so a closure is that
-function with those values bound, and a call of it is one host frame. denote
+Closures are flat: a body compiles to a maker that takes the values the
+lambda reads from the scopes around it (the names the translation records
+in MLam.free) and returns a plain Python function of the argument, so a
+call of a closure is one Python frame. denote
 builds each literal leaf once per call: in closed form, in constant time,
 under the exact constructors when three empty effects combine to the empty
 effect, and otherwise by folding the instantiation's constructors. QUERIES
@@ -29,7 +30,7 @@ application and symbol read still runs once, in order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, TypeAlias
 
@@ -259,41 +260,9 @@ _OPS: dict[type, int] = {
     M.BFunc: _FUNC, M.MLit: _LIT,
 }
 
-_NO_NAMES: frozenset[str] = frozenset()
-
-
-def _free_names(root: M.MetaTerm, free: dict[int, frozenset[str]]) -> frozenset[str]:
-    """The names root reads that no binder inside it binds, found by a
-    children-first loop that memoizes every node under root in free, by
-    id."""
-    todo: list = [root]
-    pop, push, extend, children = todo.pop, todo.append, todo.extend, M.children
-    while todo:
-        node = pop()
-        if type(node) is tuple:  # a node whose children are done
-            node, kids = node
-            names = _NO_NAMES
-            for kid in kids:
-                more = free[id(kid)]
-                if more:
-                    names = names | more if names else more
-            if type(node) is M.MLam and node.var in names:
-                names = names - {node.var}
-            free[id(node)] = names
-        elif id(node) not in free:
-            kids = children(node)
-            if kids:
-                push((node, kids))
-                extend(kids)
-            else:
-                free[id(node)] = frozenset((node.name,)) if type(node) is M.MVar else _NO_NAMES
-    return free[id(root)]
-
-
 def _flatten(
     root: M.MetaTerm,
     params: tuple[str, ...] = (),
-    free: dict[int, frozenset[str]] | None = None,
     cells: dict[tuple[int, tuple[str, ...]], list] | None = None,
 ) -> tuple[list[tuple], int]:
     """One scope as a children-first list of entries, and the position of
@@ -318,10 +287,10 @@ def _flatten(
     application calls a closure instead.
 
     A lambda's entry makes a closure. It captures the bindings of env that
-    the lambda reads (see _free_names), in env's order, by position. Its
-    first operand is the lambda's cell in cells, [compiled body or None,
-    lam, captured names], one for each lambda and captured names; its
-    second is the captured positions. free memoizes _free_names.
+    the lambda reads (lam.free, which the translation records), in env's
+    order, by position. Its first operand is the lambda's cell in cells,
+    [compiled maker or None, lam, captured names], one for each lambda and
+    captured names; its second is the captured positions.
 
     Every other node gets one entry per scope or inlined body (the empty
     effect one per scope), a shared node once, in the order a left-to-right
@@ -334,7 +303,6 @@ def _flatten(
     """
     code: list[tuple] = [(_ARG, name, None, None) for name in params]
     emit = code.append
-    free = {} if free is None else free
     cells = {} if cells is None else cells
     made: dict[int, tuple] = {}  # id of a static value -> (it, its position)
     inlining: set[int] = set()  # ids of the lambdas whose bodies are being inlined
@@ -344,9 +312,7 @@ def _flatten(
         return v if type(v) is int else made[id(v)][1]
 
     def captured(lam: tuple) -> tuple[str, ...]:
-        if not lam[2]:
-            return ()
-        reads = _free_names(lam[1], free)
+        reads = lam[1].free
         return tuple(name for name in lam[2] if name in reads)
 
     def place(v) -> int:
@@ -500,15 +466,18 @@ def _unbound(name: str) -> SemVal:
     raise MetaTypeMismatch(f"unbound meta variable {name!r} at interpretation time")
 
 
-def _malformed(message: str, *args: SemVal) -> SemVal:
-    raise MetaTypeMismatch(message)
+def _malformed(message: str) -> Callable[..., Callable[[SemVal], SemVal]]:
+    """A maker whose closures raise MetaTypeMismatch(message) at each call."""
+    def run(arg: SemVal) -> SemVal:
+        raise MetaTypeMismatch(message)
+    return lambda *captured: run
 
 
 # the names a compiled scope's source reads besides its values v<n>, its
 # leaves K[<n>] and its factory's parameters (the leaves, and the helpers of
 # one denote call)
 _HELPERS = {"VALUES": _VALUES, "SPair": SPair, "SFun": SFun, "as_eff": as_eff, "as_pair": as_pair,
-            "as_fun": as_fun, "partial": partial, "MISSING": _MISSING, "unbound": _unbound}
+            "as_fun": as_fun, "MISSING": _MISSING, "unbound": _unbound}
 
 # opcodes whose value has a known class (an effect, or a value's class), which
 # a reader of it need not check
@@ -517,23 +486,26 @@ _KNOWN = {_IOTA: "eff", _COM: "eff", _INC: "eff", _PAIR: "SPair", _LIT: "SPair",
 
 def _compile(code: list[tuple], root: int) -> tuple[str, tuple]:
     """The source of a factory for one flattened scope, and the leaves it
-    reads: a function of the scope's parameters, v0 to v<k-1> for its k
-    _ARG entries, with one statement per other entry, in the list's order,
-    then the root's value.
+    reads. The factory returns a maker, make, that takes the values of the
+    scope's _ARG entries but the last and returns run, a function of the
+    last (of nothing at the top level, which has none): a closure's
+    captured values, then its argument. run has one statement per other
+    entry, in the list's order, then returns the root's value.
 
     The source holds only opcodes and positions: every name, symbol, cell
     and literal node is a leaf, read from K, so scopes of one shape with
     other names or literal values have the same source. A value read for
     its shape is checked with the as_* guard, and so fails with the same
     error, unless the entry that made it fixes its class. A lambda's entry
-    makes a closure, an SFun over the body's function with the captured
-    values bound in front of its argument: a call of it is one call of that
-    function.
+    makes a closure, an SFun over the run its body's maker returns for the
+    captured values; a cell whose lambda captures nothing holds that run
+    itself. So a call of a closure is one call of a plain Python function.
     """
     leaves: list = []
-    params = ", ".join(f"v{n}" for n, entry in enumerate(code) if entry[0] == _ARG)
+    params = [f"v{n}" for n, entry in enumerate(code) if entry[0] == _ARG]
     lines = ["def factory(K, iota, com, inc, cons, func, literals, literal, body, env):",
-             f" def run({params}):"]
+             f" def make({', '.join(params[:-1])}):",
+             f"  def run({', '.join(params[-1:])}):"]
     emit = lines.append
 
     def leaf(x: object) -> str:
@@ -547,7 +519,7 @@ def _compile(code: list[tuple], root: int) -> tuple[str, tuple]:
         return f"(v{i} if type(v{i}) {test} else {guard}(v{i}))"
 
     for n, (op, x, y, z) in enumerate(code):
-        v = f"  v{n} = "
+        v = f"   v{n} = "
         if op == _APP:
             emit(f"{v}{read(x, 'SFun', 'as_fun')}.fn(v{y})")
         elif op == _COM:
@@ -556,7 +528,7 @@ def _compile(code: list[tuple], root: int) -> tuple[str, tuple]:
         elif op == _VAR:
             name = leaf(x.name)
             emit(f"{v}env.get({name}, MISSING)")
-            emit(f"  if v{n} is MISSING: unbound({name})")
+            emit(f"   if v{n} is MISSING: unbound({name})")
         elif op == _INC:
             emit(f"{v}inc({read(x, 'eff', 'as_eff')})")
         elif op == _PAIR:
@@ -575,14 +547,15 @@ def _compile(code: list[tuple], root: int) -> tuple[str, tuple]:
             # the body is compiled when the first closure over it is built
             cell = leaf(x)
             fn = f"{cell}[0] or body({cell})"
-            emit(f"{v}SFun(partial({fn}, {', '.join(f'v{i}' for i in y)}))" if y
+            emit(f"{v}SFun(({fn})({', '.join(f'v{i}' for i in y)}))" if y
                  else f"{v}SFun({fn})")
         elif op == _LIT:
             node = leaf(x)
             emit(f"{v}literals.get(id({node}))")
-            emit(f"  if v{n} is None: v{n} = literal({node})")
-    emit(f"  return v{root}")
-    emit(" return run")
+            emit(f"   if v{n} is None: v{n} = literal({node})")
+    emit(f"   return v{root}")
+    emit("  return run")
+    emit(" return make")
     return "\n".join(lines), tuple(leaves)
 
 
@@ -614,10 +587,12 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
 
     Closures are flat (closure conversion): a lambda's body is compiled
     once per call of denote and per set of captured names, when the first
-    closure over it is built, into a function whose parameters are the
-    values the body reads from the scopes around it, by position, then its
-    argument. A closure is that function with its captured values bound,
-    so a call of it is one host frame, and the host recurses only where
+    closure over it is built, into a maker whose parameters are the values
+    the body reads from the scopes around it (those of lam.free that a
+    binder there binds), by position. A closure is the function of its
+    argument that the maker returns for its captured values, or, when it
+    captures nothing, one function shared by every closure over the body.
+    So a call of it is one Python frame, and the host recurses only where
     one closure's run calls another. Only a name that no binder binds is
     read by name, from env, where the body reads it, so an unbound one
     raises there. A body whose flattening fails raises at each call of its
@@ -636,28 +611,27 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     env = dict(env)
     # keyed by node id, for this call and the functions it returns
     literals: dict[int, SemVal] = {}  # a literal leaf's value
-    free: dict[int, frozenset[str]] = {}  # the names a node reads and does not bind
     cells: dict[tuple[int, tuple[str, ...]], list] = {}  # see _flatten
 
     def literal(node: M.MLit) -> SemVal:
         v = literals[id(node)] = _literal(inst, node.value)
         return v
 
-    def compiled(root: M.MetaTerm, params: tuple[str, ...]) -> Callable[..., SemVal]:
-        source, leaves = _compile(*_flatten(root, params, free, cells))
+    def compiled(root: M.MetaTerm, params: tuple[str, ...]) -> Callable[..., Callable]:
+        source, leaves = _compile(*_flatten(root, params, cells))
         return _factory(source)(leaves, iota, eff.com, eff.inc, inst.cons, inst.func,
                                 literals, literal, body, env)
 
-    def body(cell: list) -> Callable[..., SemVal]:
+    def body(cell: list) -> Callable:
         _, lam, captured = cell
         try:
-            fn = compiled(lam.body, (*captured, lam.var))
+            make = compiled(lam.body, (*captured, lam.var))
         except MetaTypeMismatch as err:
-            fn = partial(_malformed, str(err))
-        cell[0] = fn
-        return fn
+            make = _malformed(str(err))
+        cell[0] = make if captured else make()
+        return cell[0]
 
-    return compiled(mt, ())()
+    return compiled(mt, ())()()
 
 
 def compose(inst: Instantiation, f: SemVal, a: SemVal) -> SemVal:

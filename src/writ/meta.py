@@ -11,7 +11,7 @@ the translation of its constructor spine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping, TypeAlias
 
 from .errors import MetaTypeMismatch
@@ -113,9 +113,14 @@ class BFunc:
 
 @dataclass(frozen=True)
 class MLam:
+    """A lambda. free holds the names its body reads and does not bind,
+    its own variable left out; the translation knows them as it makes every
+    binder, and engine.denote captures exactly these."""
+
     var: str
     var_ty: "MetaType"
     body: "MetaTerm"
+    free: frozenset[str] = field(compare=False)
 
 
 @dataclass(frozen=True)
@@ -205,9 +210,10 @@ def bfunc_type(sig: Signature, symbol: str) -> MetaType:
 
 def _lam_star(binders: list[tuple[str, MetaType]], body: MetaTerm) -> MetaTerm:
     # an iterated effect-free lambda: each layer is the pair (empty effect,
-    # one binder); with no binders it is the body itself
-    for name, mty in reversed(binders):
-        body = MPair(IOTA, MLam(name, mty, body))
+    # one binder), and reads the binders outside it; with no binders it is
+    # the body itself
+    for i, (name, mty) in reversed(list(enumerate(binders))):
+        body = MPair(IOTA, MLam(name, mty, body, frozenset(n for n, _ in binders[:i])))
     return body
 
 
@@ -224,32 +230,38 @@ def translate(sig: Signature, ctx: TyContext, t: Term) -> MetaTerm:
 
 
 def _translate(sig: Signature, t: Term) -> MetaTerm:
-    """Children first, on an explicit stack."""
+    """Children first, on an explicit stack; each result sits on done with
+    the term's free variables, which are its translation's too."""
     todo: list[tuple[Term, bool]] = [(t, False)]
-    done: list[MetaTerm] = []
+    done: list[tuple[MetaTerm, frozenset[str]]] = []
     while todo:
         node, ready = todo.pop()
         if isinstance(node, Lam):
             if not ready:
                 todo += ((node, True), (node.body, False))
                 continue
-            body = done.pop()
+            body, free = done.pop()
+            if node.var in free:
+                free = free - {node.var}
             # crossing a lambda charges the pending beta step to the call site
             charged = MPair(Inc(ProjL(body)), ProjR(body))
-            done.append(MPair(IOTA, MLam(node.var, lift(node.var_ty), charged)))
+            done.append((MPair(IOTA, MLam(node.var, lift(node.var_ty), charged, free)), free))
         elif isinstance(node, App):
             if not ready:
                 todo += ((node, True), (node.arg, False), (node.fun, False))
                 continue
-            arg = done.pop()
-            fun = done.pop()
+            arg, arg_free = done.pop()
+            fun, free = done.pop()
+            if arg_free:
+                free = free | arg_free if free else arg_free
             call = MApp(ProjR(fun), ProjR(arg))  # shared: referenced twice below
-            done.append(MPair(Com(ProjL(fun), ProjL(arg), ProjL(call)), ProjR(call)))
+            done.append((MPair(Com(ProjL(fun), ProjL(arg), ProjL(call)), ProjR(call)), free))
         elif isinstance(node, Lit):
-            done.append(MLit(node.value))
+            done.append((MLit(node.value), frozenset()))
         else:
-            done.append(_translate_leaf(sig, node))
-    return done[0]
+            free = frozenset((node.name,)) if isinstance(node, Var) else frozenset()
+            done.append((_translate_leaf(sig, node), free))
+    return done[0][0]
 
 
 def _translate_leaf(sig: Signature, t: Term) -> MetaTerm:

@@ -446,8 +446,9 @@ def _agrees_with_reference(mt, env=None):
     (ProjL(MPair(MPair(Inc(IOTA), MLit(2)), IOTA)), [1, [0, 2]]),
     (MVar("x"), 7),
     (MLit(3), [0, 3]),
-    (ProjR(MApp(ProjR(MPair(IOTA, MLam("y", NAT_TY, MPair(IOTA, MVar("y"))))), MVar("x"))), 7),
-    (ProjR(MApp(ProjR(MPair(IOTA, MLam(EVIL, NAT_TY, MPair(IOTA, MVar(EVIL))))),
+    (ProjR(MApp(ProjR(MPair(IOTA, MLam("y", NAT_TY, MPair(IOTA, MVar("y")), frozenset()))),
+                MVar("x"))), 7),
+    (ProjR(MApp(ProjR(MPair(IOTA, MLam(EVIL, NAT_TY, MPair(IOTA, MVar(EVIL)), frozenset()))),
                 MLit(4))), [0, 4]),
 ])
 def test_hand_built_roots(mt, want):
@@ -459,14 +460,15 @@ def test_hand_built_roots(mt, want):
     Inc(MLit(1)),
     MApp(IOTA, IOTA),
     Com(IOTA, MLit(1), IOTA),
-    ProjL(MLam("y", NAT_TY, IOTA)),
+    ProjL(MLam("y", NAT_TY, IOTA, frozenset())),
 ])
 def test_ill_shaped_roots_raise_the_reference_mismatch(mt):
     assert _agrees_with_reference(mt) == "ShapeMismatch"
 
 
 def test_unbound_meta_variable_still_raises():
-    inlined = MApp(ProjR(MPair(IOTA, MLam("y", NAT_TY, MPair(IOTA, MVar("z"))))), MLit(1))
+    inlined = MApp(ProjR(MPair(IOTA, MLam("y", NAT_TY, MPair(IOTA, MVar("z")), frozenset({"z"})))),
+                   MLit(1))
     for mt in (MVar("z"), inlined, ProjR(inlined)):
         assert _agrees_with_reference(mt) == "MetaTypeMismatch"
         with pytest.raises(MetaTypeMismatch):
@@ -478,7 +480,7 @@ def test_unknown_node_in_an_inlined_body_is_reported_before_the_scope_runs():
     # after it has read the constructor of the literal argument; denote
     # finds it when it flattens the top level, before any read
     inst = counting_cost_inst()
-    bogus = MApp(ProjR(MPair(IOTA, MLam("y", NAT_TY, object()))), ProjR(MLit(1)))
+    bogus = MApp(ProjR(MPair(IOTA, MLam("y", NAT_TY, object(), frozenset()))), ProjR(MLit(1)))
     with pytest.raises(MetaTypeMismatch):
         denote(inst, {}, bogus)
     assert inst.cons_interp.reads == 0
@@ -497,9 +499,9 @@ def _chain(depth, wrap):
 @pytest.mark.parametrize("wrap", [
     lambda mt, i: ProjR(MPair(IOTA, mt)),
     # nested in the lambda's body, so each redex runs inside the one before
-    lambda mt, i: MApp(ProjR(MPair(IOTA, MLam(f"x{i % 3}", NAT_TY, mt))), MLit(0)),
+    lambda mt, i: MApp(ProjR(MPair(IOTA, MLam(f"x{i % 3}", NAT_TY, mt, frozenset()))), MLit(0)),
     # nested in the argument
-    lambda mt, i: MApp(ProjR(MPair(IOTA, MLam("x", GAMMA, MPair(MVar("x"), MLit(0))))),
+    lambda mt, i: MApp(ProjR(MPair(IOTA, MLam("x", GAMMA, MPair(MVar("x"), MLit(0)), frozenset()))),
                        ProjL(mt)),
 ], ids=["projections", "redexes-in-bodies", "redexes-in-arguments"])
 def test_deep_chains_need_no_host_recursion(wrap):
@@ -577,8 +579,8 @@ def test_closures_take_their_captures_as_the_reference_scopes_do(src, args, want
 
 
 def test_a_closure_body_reads_a_name_no_binder_binds_from_the_environment():
-    inner = MLam("z", NAT_TY, MPair(IOTA, MPair(MVar("x"), MVar("z"))))
-    mt = MPair(IOTA, MLam("y", NAT_TY, MPair(IOTA, MPair(MVar("x"), inner))))
+    inner = MLam("z", NAT_TY, MPair(IOTA, MPair(MVar("x"), MVar("z"))), frozenset({"x"}))
+    mt = MPair(IOTA, MLam("y", NAT_TY, MPair(IOTA, MPair(MVar("x"), inner)), frozenset({"x"})))
     calls = [*_apply(Base(2)), lambda vs: as_fun(vs[-1].snd.snd).fn(Base(3))]
     shown = _agrees_through_calls(mt, {"x": Base(7)}, calls)
     assert shown[1:] == [[0, [7, "<function>"]], [0, [7, 3]]]
@@ -587,8 +589,8 @@ def test_a_closure_body_reads_a_name_no_binder_binds_from_the_environment():
 def test_an_unbound_name_reached_only_through_a_call_raises_at_the_read():
     # the body reads the constructors of its literal before the name; the
     # one lambda is built once where z is bound and once where it is not
-    lam = MLam("y", NAT_TY, MPair(ProjL(MLit(2)), MVar("z")))
-    bound = MApp(ProjR(MPair(IOTA, MLam("z", NAT_TY, MPair(IOTA, lam)))), MLit(1))
+    lam = MLam("y", NAT_TY, MPair(ProjL(MLit(2)), MVar("z")), frozenset({"z"}))
+    bound = MApp(ProjR(MPair(IOTA, MLam("z", NAT_TY, MPair(IOTA, lam), frozenset()))), MLit(1))
     mt = MPair(bound, MPair(IOTA, lam))
     calls = [lambda vs: as_fun(vs[0].fst.snd).fn(Base(0)),
              lambda vs: as_fun(vs[0].snd.snd).fn(Base(0))]
@@ -599,7 +601,7 @@ def test_an_unbound_name_reached_only_through_a_call_raises_at_the_read():
 
 
 def test_a_malformed_closure_body_raises_at_each_call_and_not_before():
-    mt = MPair(IOTA, MLam("y", NAT_TY, object()))
+    mt = MPair(IOTA, MLam("y", NAT_TY, object(), frozenset()))
     shown = _agrees_through_calls(mt, calls=_apply(Base(0)))
     assert shown[0] == [0, "<function>"] and shown[1][0] == "MetaTypeMismatch"
     f = as_pair(denote(cost_exact_inst(), {}, mt)).snd
@@ -647,7 +649,7 @@ FACTORY = "def factory(K, iota, com, inc, cons, func, literals, literal, body, e
 # the names a compiled scope's body may read besides v<n> and K[<n>]
 _SOURCE_NAMES = {
     "def", "return", "if", "is", "not", "in", "else", "or", "None", "type", "id",  # Python's own
-    "run",  # the function the factory makes, whose parameters are v<n>
+    "make", "run",  # the maker the factory returns and the function it makes
     "iota", "com", "inc", "cons", "func", "literals", "literal", "body", "env",
     *engine._HELPERS, "get", "fn", "fst", "snd",
 }
@@ -694,10 +696,28 @@ def test_compiled_sources_hold_no_term_text(sources):
     assert render_semval(denote(cost_exact_inst(), {EVIL: Base(4)},
                                 MPair(IOTA, MVar(EVIL)))) == [0, 4]
     captures = MApp(ProjR(MPair(IOTA, MLam(EVIL, NAT_TY, MLam("z", NAT_TY, MPair(
-        IOTA, MVar(EVIL)))))), MLit(4))
+        IOTA, MVar(EVIL)), frozenset({EVIL})), frozenset()))), MLit(4))
     f = denote(cost_exact_inst(), {}, captures)
     assert render_semval(as_fun(f).fn(Base(0))) == [0, [0, 4]]
     assert len(sources) > 100
     for source in sources:
         assert EVIL not in source
         _check_source(source)
+
+
+def test_a_closure_captures_only_the_names_its_body_reads(sources):
+    # fn x0 => fn x1 => ... => x0: every inner lambda reads x0 alone, so
+    # each closure's maker takes one captured value, however deep the nest;
+    # capturing every bound name would make the nest quadratic
+    depth = 200
+    src = "".join(f"fn x{i}:Nat => " for i in range(depth)) + "x0"
+    term = parse_term(src)
+    v = denote(cost_exact_inst(), {}, translate(signature_for(term), {}, term))
+    for k in range(depth):
+        v = as_fun(as_pair(v).snd).fn(Base(k + 7))
+    assert v == SPair(1, Base(7))
+    makes = [source.split("\n")[1] for source in sources]
+    assert len(makes) == depth + 1  # the top level and each body
+    assert all(line.startswith(" def make(") for line in makes)
+    captures = [len(re.findall(r"v\d+", line)) for line in makes]
+    assert max(captures) == 1 and captures.count(1) == depth - 1

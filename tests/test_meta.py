@@ -1,6 +1,11 @@
 """The effect-pairing translation and the metalanguage type system."""
 
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from term_strategies import FUNCTIONAL, N2N, closed_terms
 
 from writ import (
     GAMMA,
@@ -32,6 +37,7 @@ from writ import (
     parse_term,
     render_meta,
     render_meta_type,
+    signature_for,
     system_t,
     system_t_list,
     translate,
@@ -39,6 +45,8 @@ from writ import (
 )
 from writ.meta import children
 from writ.syntax import LIST, Cons, Lam, Lit, literal_spine
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def dag_size(mt):
@@ -101,7 +109,7 @@ def test_translate_bare_constructor_wraps_each_binder():
     mt = translate(system_t(), {}, parse_term("succ"))
     assert mt == MPair(
         IOTA,
-        MLam("x1", MData("Nat"), MPair(IOTA, MApp(BCons("succ"), MVar("x1")))),
+        MLam("x1", MData("Nat"), MPair(IOTA, MApp(BCons("succ"), MVar("x1"))), frozenset()),
     )
 
 
@@ -111,7 +119,7 @@ def test_translate_variable_and_identity_lambda():
     inner = MPair(IOTA, MVar("x"))
     assert mt == MPair(
         IOTA,
-        MLam("x", MData("Nat"), MPair(Inc(ProjL(inner)), ProjR(inner))),
+        MLam("x", MData("Nat"), MPair(Inc(ProjL(inner)), ProjR(inner)), frozenset()),
     )
 
 
@@ -161,7 +169,7 @@ def test_children_are_the_direct_subterms_left_to_right():
     assert children(Com(a, b, c)) == (a, b, c)
     assert children(MApp(a, b)) == children(MPair(a, b)) == (a, b)
     assert children(Inc(a)) == children(ProjL(a)) == children(ProjR(a)) == (a,)
-    assert children(MLam("x", MData("Nat"), a)) == (a,)
+    assert children(MLam("x", MData("Nat"), a, frozenset({"a"}))) == (a,)
     assert children(a) == children(IOTA) == children(BCons("zero")) == ()
 
 
@@ -173,6 +181,65 @@ def test_translate_function_symbol_arity_three():
         assert isinstance(mt.right, MLam)
         mt = mt.right.body
     assert mt == MApp(MApp(MApp(BFunc("rec[Nat]"), MVar("x1")), MVar("x2")), MVar("x3"))
+
+
+def _lambda_reads(mt):
+    """Each lambda under mt, with the names its body reads and does not
+    bind, found by a children-first walk that remembers every node's names
+    by id: the reference each MLam.free must equal."""
+    free, lambdas = {}, []
+    todo = [mt]
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:  # a node whose children are done
+            node, kids = node
+            names = frozenset().union(*(free[id(kid)] for kid in kids))
+            if isinstance(node, MLam):
+                names -= {node.var}
+                lambdas.append((node, names))
+            free[id(node)] = names
+        elif id(node) not in free:
+            kids = children(node)
+            if kids:
+                todo.append((node, kids))
+                todo.extend(kids)
+            else:
+                free[id(node)] = frozenset({node.name}) if isinstance(node, MVar) else frozenset()
+    return lambdas
+
+
+def _assert_lambdas_record_their_reads(mt):
+    lambdas = _lambda_reads(mt)
+    for lam, names in lambdas:
+        assert lam.free == names, lam.var
+    return len(lambdas)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.sampled_from([NAT, LIST, N2N, FUNCTIONAL]).flatmap(
+    lambda ty: closed_terms(ty, lists=True)))
+def test_each_generated_lambda_records_what_its_body_reads(term):
+    _assert_lambdas_record_their_reads(translate(signature_for(term), {}, term))
+
+
+def test_each_corpus_lambda_records_what_its_body_reads():
+    lambdas = 0
+    for path in sorted(CORPUS.glob("*.wt")):
+        term = parse_term(path.read_text(encoding="utf-8"))
+        lambdas += _assert_lambdas_record_their_reads(translate(signature_for(term), {}, term))
+    assert lambdas > 100
+
+
+def test_an_open_term_records_its_context_names_as_read():
+    sig = system_t()
+    term = parse_term("fn y:Nat => f (rec[Nat] x (fn n:Nat => fn p:Nat => f p) y)")
+    mt = translate(sig, {"x": NAT, "f": Arrow(NAT, NAT)}, term)
+    assert mt.right.free == {"x", "f"}
+    assert _assert_lambdas_record_their_reads(mt) == 6
+    # each binder of a symbol's lambdas reads the binders outside it
+    rec = translate(sig, {}, parse_term("rec[Nat]"))
+    assert [lam.free for lam, _ in _lambda_reads(rec)] == [
+        {"x1", "x2"}, {"x1"}, frozenset()]
 
 
 def test_translations_typecheck_at_their_lifted_type():
