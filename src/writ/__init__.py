@@ -8,148 +8,18 @@ one of the instantiations. The harness replays every analysis against the
 evaluator and reports agreement.
 """
 
-from .errors import (
-    DuplicateSymbol,
-    FuelExhausted,
-    MetaTypeMismatch,
-    MissingInterpretation,
-    ParseError,
-    ShapeMismatch,
-    StuckTerm,
-    TypeMismatch,
-    UnboundVariable,
-    UndeclaredSymbol,
-    UnsupportedSymbol,
-    WritError,
-)
-from .syntax import (
-    App,
-    Arrow,
-    Cons,
-    Data,
-    Func,
-    LIST,
-    Lam,
-    Lit,
-    NAT,
-    Pattern,
-    PCons,
-    PVar,
-    Term,
-    Ty,
-    Var,
-    app,
-    free_vars,
-    list_term,
-    list_value,
-    numeral,
-    numeral_value,
-    render_term,
-    render_type,
-    spine,
-    substitute,
-    symbols,
-    typecheck,
-)
-from .parser import parse_term, parse_type
-from .signatures import (
-    Builtin,
-    Constant,
-    ConsDecl,
-    FuncDecl,
-    Identity,
-    OracleSpec,
-    Rule,
-    Signature,
-    Table,
-    bar_rec,
-    oracle_from_json,
-    oracle_from_string,
-    oracle_label,
-    signature_for,
-    system_t,
-    system_t_list,
-    with_oracle,
-)
-from .evaluator import DEFAULT_FUEL, EvalResult, Fuel, evaluate, evaluate_with_oracle
-from .meta import (
-    BCons,
-    BFunc,
-    GAMMA,
-    Gamma,
-    IOTA,
-    Inc,
-    Com,
-    Iota,
-    MApp,
-    MArrow,
-    MData,
-    MLam,
-    MLit,
-    MPair,
-    MVar,
-    MetaTerm,
-    MetaType,
-    Prod,
-    ProjL,
-    ProjR,
-    bcons_type,
-    bfunc_type,
-    lift,
-    meta_typecheck,
-    render_meta,
-    render_meta_type,
-    translate,
-)
-from .engine import (
-    Base,
-    BaseList,
-    COST,
-    EffectTriple,
-    Instantiation,
-    QUERIES,
-    SemVal,
-    SFun,
-    SPair,
-    TRIVIAL,
-    as_base,
-    as_eff,
-    as_fun,
-    as_list,
-    as_pair,
-    compose,
-    denote,
-    pair_parts,
-    render_semval,
-    spair,
-)
-from .instantiations import (
-    BOUND,
-    CostReport,
-    EXACT,
-    ModulusReport,
-    bounded_cost,
-    continuity_inst,
-    cost_bounded_inst,
-    cost_exact_inst,
-    exact_cost,
-    majorant,
-    majorizability_inst,
-    modulus,
-    recursor,
-    semantic_join,
-    spector_closed_form,
-)
-from .harness import (
-    SEARCH_TEMPLATE,
-    VerifyReport,
-    run_corpus,
-    verify_bound,
-    verify_exact_cost,
-    verify_file,
-    verify_majorant,
-    verify_modulus,
-    verify_spector,
-)
+from .errors import *
+from .syntax import *
+from .parser import *
+from .signatures import *
+from .evaluator import *
+from .meta import *
+from .engine import *
+from .instantiations import *
+from .harness import *
+
+__all__ = (errors.__all__ + syntax.__all__ + parser.__all__ + signatures.__all__
+           + evaluator.__all__ + meta.__all__ + engine.__all__ + instantiations.__all__
+           + harness.__all__)
 
 __version__ = "0.1.0"

@@ -123,7 +123,10 @@ def _modulus(args: argparse.Namespace) -> _Result:
 
 def _cost(args: argparse.Namespace) -> _Result:
     term = _read_term(args)
-    rep = exact_cost(term, _base_signature(args, term), args.fuel)
+    if args.sig:
+        # exact_cost reads the term's own signature; the override must admit it
+        typecheck(_SIGS[args.sig](), {}, term)
+    rep = exact_cost(term, args.fuel)
     obj = {"predicted": rep.predicted, "semantic": render_semval(rep.semantic),
            "mode": rep.mode}
     return obj, [f"predicted = {rep.predicted}", f"semantic = {obj['semantic']}"], 0

@@ -40,7 +40,7 @@ from .signatures import BaseList
 
 __all__ = [
     "EffectTriple", "COST", "QUERIES", "TRIVIAL",
-    "Base", "BaseList", "SPair", "SFun", "SemVal", "SemEnv",
+    "Base", "SPair", "SFun", "SemVal", "SemEnv",
     "spair", "as_eff", "as_base", "as_list", "as_pair", "as_fun", "pair_parts",
     "EXACT_CONS", "EXACT_NAT_CONS", "QueryLog",
     "render_semval",

@@ -126,7 +126,7 @@ def verify_exact_cost(
     sig = signature_for(e)
     try:
         res = evaluate(sig, e, fuel)
-        rep = exact_cost(e, sig, fuel, inst=inst)
+        rep = exact_cost(e, fuel, inst=inst)
     except WritError as err:
         return _fail(term_id, "cost", _err(err))
     evidence = {"predicted": rep.predicted, "observed": res.steps}
@@ -325,9 +325,9 @@ def verify_spector(
         search = parse_term(SEARCH_TEMPLATE)
         full = app(search, omega_term, beta_term, list_term(()))
         res = evaluate(sig, full, fuel)
-        rep = exact_cost(full, sig, fuel)
-        omega_fun = exact_cost(omega_term, sig, fuel).semantic
-        beta_fun = exact_cost(beta_term, sig, fuel).semantic
+        rep = exact_cost(full, fuel)
+        omega_fun = exact_cost(omega_term, fuel).semantic
+        beta_fun = exact_cost(beta_term, fuel).semantic
         closed = spector_closed_form(omega_fun, beta_fun, fuel)
         recurrence = _search_recurrence(omega_fun, beta_fun, fuel)
     except WritError as err:

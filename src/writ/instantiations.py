@@ -57,7 +57,7 @@ from .engine import (
 )
 from .evaluator import DEFAULT_FUEL, Fuel
 from .meta import _translate, translate
-from .signatures import BUILTINS, Builtin, OracleSpec, Signature, signature_for
+from .signatures import BUILTINS, Builtin, OracleSpec, signature_for
 from .syntax import (
     NAT,
     Arrow,
@@ -206,13 +206,13 @@ def search(eff: EffectTriple, ext: SemVal, fuel: Fuel = DEFAULT_FUEL) -> SemVal:
     """The search combinator bar: the control functional, the finish, the
     step, then the segment, given ext's interpretation.
 
-    Each round applies the functional to ext of the segment, then charges
-    four inc for the unfold, the comparison, the lookup closure and the
-    length. Once the functional answers below the segment's length, the
-    finish runs on the segment; otherwise the step runs on the segment and
-    on a continuation, which charges one inc (its beta step) on top of the
-    next round, on the segment extended by its argument. A call raises
-    FuelExhausted before it runs more than fuel.max_steps rounds.
+    Each round applies the functional to ext of the segment (a partial
+    application, no step), then charges four inc: bar's unfold, the
+    comparison, the length and bar1's unfold. Once the functional answers
+    below the segment's length, the finish runs on the segment; otherwise
+    the step runs on the segment and on a continuation, which charges one
+    inc (its beta step) on top of the next round, on the segment extended
+    by its argument. A call raises FuelExhausted past fuel.max_steps rounds.
     """
     inc, com, eps, limit = eff.inc, eff.com, eff.eps, fuel.max_steps
 
@@ -386,14 +386,12 @@ def modulus(
 
 def exact_cost(
     e: Term,
-    sig: Optional[Signature] = None,
     fuel: Fuel = DEFAULT_FUEL,
     *,
     inst: Optional[Instantiation] = None,
 ) -> CostReport:
     """Predicted step count and semantic value of a closed term."""
-    if sig is None:
-        sig = signature_for(e)
+    sig = signature_for(e)
     active = inst if inst is not None else cost_exact_inst(fuel)
     cost, value = pair_parts(denote(active, {}, translate(sig, {}, e)))
     return CostReport(predicted=cost, semantic=value, mode=EXACT)

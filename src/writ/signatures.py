@@ -5,6 +5,9 @@ function symbol either a complete orthogonal set of rewrite rules or a
 builtin (a schematic rule family computed on the host, one step per unfold).
 The recursor families rec[t] and fold[t] are synthesized on demand, one
 monomorphic symbol per index type.
+
+Three signatures ship, each extending the one before: system_t, system_t_list
+and bar_rec. signature_for picks the first whose own declarations cover a term.
 """
 
 from __future__ import annotations
@@ -533,44 +536,37 @@ def oracle_label(g: OracleSpec) -> str:
 
 # ---------------------------------------------------------------- selection
 
-_LIST_SYMBOLS = frozenset({"nil", "cons", "add", "mul", "lt", "len"})
-_BAR_SYMBOLS = frozenset({"ext", "bar", "bar1"})
+# the shipped signatures, smallest first; each extends the one before it
+_SHIPPED = (system_t(), system_t_list(), bar_rec())
 
 
-def _mentions_list_type(t: Term) -> bool:
-    # iterative: terms can nest deeper than the recursion limit
-    todo: list[Term] = [t]
+def _annotated_datatypes(t: Term) -> set[str]:
+    """The datatypes in t's binder annotations, read without host recursion."""
+    names: set[str] = set()
+    todo: list[Term | Ty] = [t]
     while todo:
         s = todo.pop()
-        if isinstance(s, Lam):
-            if _ty_mentions_list(s.var_ty):
-                return True
-            todo.append(s.body)
+        if isinstance(s, Data):
+            names.add(s.name)
+        elif isinstance(s, Arrow):
+            todo += (s.dom, s.cod)
+        elif isinstance(s, Lam):
+            todo += (s.var_ty, s.body)
         elif isinstance(s, App):
-            todo.append(s.fun)
-            todo.append(s.arg)
-    return False
-
-
-def _ty_mentions_list(ty: Ty) -> bool:
-    if isinstance(ty, Data):
-        return ty.name == "List"
-    return _ty_mentions_list(ty.dom) or _ty_mentions_list(ty.cod)
+            todo += (s.fun, s.arg)
+    return names
 
 
 def signature_for(t: Term) -> Signature:
-    """Pick the smallest shipped signature covering t's symbols.
+    """The smallest shipped signature that declares t's symbols and the
+    datatypes of its annotations, or the largest when none declares them all.
 
     The oracle symbol alpha is ignored here; it is added by with_oracle on
     top of whatever this returns.
     """
-    names = symbols(t)
-    if names & _BAR_SYMBOLS:
-        return bar_rec()
-    if (
-        names & _LIST_SYMBOLS
-        or any(n.startswith("fold[") for n in names)
-        or _mentions_list_type(t)
-    ):
-        return system_t_list()
-    return system_t()
+    names = symbols(t) - {"alpha"}
+    datatypes = _annotated_datatypes(t)
+    for sig in _SHIPPED:
+        if datatypes <= sig.datatypes and all(sig.has_cons(n) or sig.has_func(n) for n in names):
+            return sig
+    return _SHIPPED[-1]

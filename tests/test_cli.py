@@ -1,6 +1,7 @@
 """The writ command line: output bytes, exit codes, flag handling."""
 
 import contextlib
+import hashlib
 import json
 import os
 import subprocess
@@ -14,6 +15,7 @@ from writ.cli import main
 REC3 = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3"
 FF2 = "fn f:Nat->Nat => f (f 2)"
 FOLD2 = "fold[Nat] 0 (fn n:Nat => fn p:Nat => succ p) [7,7]"
+ALPHA_F2 = "fn f:Nat->Nat => alpha (f 2)"
 
 
 @pytest.fixture
@@ -115,6 +117,20 @@ def test_translate(wt, capsys):
     code, out, _ = run(capsys, "translate", wt("zero.wt", "0"))
     assert code == 0
     assert json.loads(out) == {"meta_term": "(iota, zero')", "meta_type": "(Eff * Nat)"}
+
+
+@pytest.mark.parametrize("oracle", [(), ("--oracle", "constant:3")], ids=["none", "constant"])
+def test_alpha_types_and_translates_with_or_without_an_oracle(wt, capsys, oracle):
+    path = wt("alpha.wt", ALPHA_F2)
+    assert run(capsys, "check", path, *oracle) == (0, '{"type":"(Nat->Nat)->Nat"}\n', "")
+    assert run(capsys, "check", path, *oracle, "--text") == (0, "(Nat->Nat)->Nat\n", "")
+    # the translations run to 13 kB; their sha256 pins them
+    for flags, digest in [
+        ((), "f107780d92ece401d2ff11bc3175067a17a770fa940a51263f252ef9902dd3aa"),
+        (("--text",), "1eeac01f70aa36f5f1bd1219228688186d64889a7e7524496fb0b09ec589ec14"),
+    ]:
+        code, out, err = run(capsys, "translate", path, *oracle, *flags)
+        assert (code, hashlib.sha256(out.encode("utf-8")).hexdigest(), err) == (0, digest, "")
 
 
 def test_modulus_requires_oracle_flag(wt, capsys):
@@ -302,6 +318,9 @@ def test_sig_override(wt, capsys):
     # but list arithmetic does not fit the smallest one
     code, _, err = run(capsys, "check", wt("sum.wt", "add 1 2"), "--sig", "t")
     assert code == 2
+    # cost reads the term under its own signature, but the override must admit it
+    assert run(capsys, "cost", wt("fold2.wt", FOLD2), "--sig", "t") == (
+        2, "", "writ: undeclared symbol 'fold[Nat]'\n")
 
 
 def test_parse_error_exit_code(wt, capsys):

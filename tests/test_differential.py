@@ -414,11 +414,11 @@ def _finished(sig, term):
         return None
 
 
-def assert_costs_agree(sig, term, ty, res):
+def assert_costs_agree(term, ty, res):
     """Exact cost is the machine's step count and value, and so is the pure
     value; a bound, where the analysis accepts the term, is at least the
     step count."""
-    exact = exact_cost(term, sig)
+    exact = exact_cost(term)
     assert exact.predicted == res.steps, render_term(term)
     if ty in (NAT, LIST):
         value = Base(numeral_value(res.value)) if ty == NAT else BaseList(list_value(res.value))
@@ -449,7 +449,7 @@ def test_generated_list_terms_analyses_agree(typed):
     res = _finished(sig, term)
     if res is None:
         return
-    assert_costs_agree(sig, term, ty, res)
+    assert_costs_agree(term, ty, res)
     if ty == NAT:
         assert_majorized(term, res)
 
@@ -463,7 +463,7 @@ def test_generated_t_terms_analyses_agree(typed):
     res = _finished(sig, term)
     if res is None:
         return
-    assert_costs_agree(sig, term, ty, res)
+    assert_costs_agree(term, ty, res)
     if ty == NAT:
         assert as_base(majorant(term)).value >= numeral_value(res.value), render_term(term)
 
@@ -475,7 +475,7 @@ def test_generated_arithmetic_terms_analyses_agree(term):
     res = _finished(sig, term)
     if res is None:
         return
-    assert_costs_agree(sig, term, NAT, res)
+    assert_costs_agree(term, NAT, res)
     assert_majorized(term, res)
 
 
@@ -662,7 +662,7 @@ def test_denote_edge_cases(src):
     sig = signature_for(term)
     assert_denote_agrees(sig, term)
     res = evaluate(sig, term)
-    report = exact_cost(term, sig)
+    report = exact_cost(term)
     assert report.predicted == res.steps
     if typecheck(sig, {}, term) == NAT:
         assert report.semantic == Base(numeral_value(res.value))

@@ -39,6 +39,7 @@ COMMANDS = {
     "bound": ("bound",),
     "majorize": ("majorize",),
     "modulus": ("modulus", "--oracle", "identity"),
+    "verify": ("verify",),
 }
 COMMANDS |= {f"{key} --text": (*argv, "--text") for key, argv in COMMANDS.items()}
 TRANSLATE = {"translate", "translate --text"}

@@ -234,7 +234,7 @@ def test_exact_cost_matches_evaluator_on_samples():
     for src in sources:
         t = parse_term(src)
         sig = signature_for(t)
-        rep = exact_cost(t, sig)
+        rep = exact_cost(t)
         res = evaluate(sig, t)
         assert rep.predicted == res.steps, src
         n = numeral_value(res.value)

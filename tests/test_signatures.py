@@ -1,10 +1,14 @@
 """Signatures, rewrite rules, builtins, oracles, and signature selection."""
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference_eval import match_pattern
+from term_strategies import FUNCTIONAL, N2N, closed_terms
 from writ import (
     NAT,
     Arrow,
@@ -12,6 +16,7 @@ from writ import (
     Builtin,
     Constant,
     DuplicateSymbol,
+    Func,
     Identity,
     Lam,
     Table,
@@ -26,13 +31,17 @@ from writ import (
     oracle_label,
     parse_term,
     render_term,
+    render_type,
     signature_for,
     substitute,
+    symbols,
     system_t,
     system_t_list,
     with_oracle,
 )
-from writ.syntax import LIST, Data, PCons, PVar
+from writ.syntax import LIST, App, Data, PCons, PVar
+
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_arities():
@@ -281,6 +290,57 @@ def test_signature_selection():
     assert signature_for(Lam("xs", LIST, Var("xs"))).name == "system_t_list"
     assert signature_for(parse_term("ext [1] 0")).name == "bar_rec"
     assert signature_for(parse_term("fn f:Nat->Nat => alpha 2")).name == "system_t"
+    # a symbol no signature declares: the largest, which then rejects it
+    assert signature_for(Func("foo")).name == "bar_rec"
+
+
+def test_selection_reads_deep_annotations_without_recursion():
+    ty = LIST
+    for _ in range(100_000):
+        ty = Arrow(NAT, ty)
+    assert signature_for(Lam("f", ty, numeral(0))).name == "system_t_list"
+
+
+# the selection rule signature_for had when it kept its own symbol sets,
+# as a reference for the one that reads the signatures' declarations
+_LIST_SYMBOLS = frozenset({"nil", "cons", "add", "mul", "lt", "len"})
+_BAR_SYMBOLS = frozenset({"ext", "bar", "bar1"})
+
+
+def _annotations(t):
+    todo = [t]
+    while todo:
+        s = todo.pop()
+        if isinstance(s, Lam):
+            yield s.var_ty
+            todo.append(s.body)
+        elif isinstance(s, App):
+            todo += (s.fun, s.arg)
+
+
+def reference_signature_name(t) -> str:
+    names = symbols(t)
+    if names & _BAR_SYMBOLS:
+        return "bar_rec"
+    if (names & _LIST_SYMBOLS or any(n.startswith("fold[") for n in names)
+            or any("List" in render_type(ty) for ty in _annotations(t))):
+        return "system_t_list"
+    return "system_t"
+
+
+def test_selection_matches_the_reference_on_the_corpus():
+    paths = sorted(CORPUS.glob("*.wt"))
+    assert len(paths) == 59
+    for path in paths:
+        term = parse_term(path.read_text(encoding="utf-8"))
+        assert signature_for(term).name == reference_signature_name(term), path.name
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.tuples(st.sampled_from([NAT, FUNCTIONAL, N2N]), st.booleans()).flatmap(
+    lambda drawn: closed_terms(*drawn)))
+def test_selection_matches_the_reference_on_generated_terms(term):
+    assert signature_for(term).name == reference_signature_name(term)
 
 
 def test_datatype_names_are_closed():
