@@ -178,6 +178,10 @@ _COMMANDS = {
     "verify": ("replay the annotated analyses of a file (or --corpus dir)", _verify),
 }
 
+# the options that a command never reads, and so refuses
+_UNREAD = {"sig": ("modulus", "bound", "majorize", "verify"),
+           "oracle": ("cost", "bound", "majorize", "verify")}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -218,6 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for option, commands in _UNREAD.items():
+            if args.command in commands and getattr(args, option) is not None:
+                raise ParseError(f"--{option} does not apply to {args.command}")
         args.fuel = Fuel(args.fuel)
         if args.trials < 0:
             raise ValueError("trials must not be negative")

@@ -29,7 +29,7 @@ application and symbol read still runs once, in order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, TypeAlias
@@ -221,15 +221,15 @@ def render_semval(v: SemVal) -> object:
 class Instantiation:
     """An analysis: one effect algebra plus symbol interpretations.
 
-    func_families interprets every member of an indexed family at once,
-    keyed by the family head (e.g. "rec" covers rec[Nat], rec[Nat->Nat], ...).
+    cons and func are the only readers of the two tables. A member of an
+    indexed family with no entry of its own, such as rec[Nat->Nat], takes
+    the entry of its head ("rec").
     """
 
     name: str
     effect: EffectTriple
     cons_interp: Mapping[str, SemVal]
     func_interp: Mapping[str, SemVal]
-    func_families: Mapping[str, SemVal] = field(default_factory=dict)
 
     def cons(self, symbol: str) -> SemVal:
         try:
@@ -239,12 +239,11 @@ class Instantiation:
 
     def func(self, symbol: str) -> SemVal:
         hit = self.func_interp.get(symbol)
-        if hit is not None:
-            return hit
-        head, bracket, _ = symbol.partition("[")
-        if bracket and head in self.func_families:
-            return self.func_families[head]
-        raise MissingInterpretation(symbol, f"not in {self.name}")
+        if hit is None and "[" in symbol:
+            hit = self.func_interp.get(symbol.partition("[")[0])
+        if hit is None:
+            raise MissingInterpretation(symbol, f"not in {self.name}")
+        return hit
 
 
 # ---------------------------------------------------------------- interpreter
@@ -408,54 +407,41 @@ def _flatten(
     return code, place(top[id(root)])
 
 
-# the constructors a literal's spine applies
-_SPINE = ("zero", "succ", "nil", "cons")
-
-
 def _literal(inst: "Instantiation", value: "int | tuple[int, ...]") -> SemVal:
     """What the translation of the literal's constructor spine denotes: each
-    application of a constructor takes its interpretation to the value so
-    far, and combines the empty effect, the effect so far and the empty
-    effect of the call. The interpretations are read as the spine's run
-    would read them, one read per application.
+    application of a constructor takes its interpretation, read through
+    inst.cons, to the value so far, and combines the empty effect, the
+    effect so far and the empty effect of the call. The interpretations are
+    read as the spine's run would read them, one read per application.
 
-    Under the exact constructors (EXACT_CONS, EXACT_NAT_CONS, the very
-    tables) a literal means itself, and when the combination of three empty
-    effects is the empty effect, so is every effect of the spine: then the
-    pair is made at once, in constant time, and no constructor is read. Any
-    other table, or effect triple, runs the fold."""
-    eps, com = inst.effect.eps, inst.effect.com
+    Under the exact constructors (EXACT_CONS, or EXACT_NAT_CONS for a
+    numeral: the very tables) a literal means itself, and when the
+    combination of three empty effects is the empty effect, so is every
+    effect of the spine: then the pair is made at once, in constant time,
+    and no constructor is read. Anything else runs the fold."""
+    eps, com, cons = inst.effect.eps, inst.effect.com, inst.cons
     table = inst.cons_interp
-    if (table is EXACT_CONS or table is EXACT_NAT_CONS) and com(eps, eps, eps) == eps:
-        if type(value) is int:
-            return SPair(eps, Base(value))
-        if table is EXACT_CONS:
-            return SPair(eps, BaseList(value))
-        raise MissingInterpretation("nil", f"not in {inst.name}")
+    exact = table is EXACT_CONS or table is EXACT_NAT_CONS and type(value) is int
+    if exact and com(eps, eps, eps) == eps:
+        return SPair(eps, Base(value) if type(value) is int else BaseList(value))
 
     def numeral(n: int) -> tuple[object, SemVal]:
-        c, v = eps, table["zero"]
+        c, v = eps, cons("zero")
         for _ in range(n):
-            f = table["succ"]
+            f = cons("succ")
             c, v = com(eps, c, eps), (f if type(f) is SFun else as_fun(f)).fn(v)
         return c, v
 
-    try:
-        if type(value) is int:
-            c, v = numeral(value)
-        else:
-            c, v = eps, table["nil"]
-            for n in value:
-                c_n, v_n = numeral(n)
-                c = com(com(eps, c, eps), c_n, eps)
-                f = table["cons"]
-                f = (f if type(f) is SFun else as_fun(f)).fn(v)
-                v = (f if type(f) is SFun else as_fun(f)).fn(v_n)
-    except KeyError as err:
-        symbol = err.args[0] if err.args else None
-        if symbol in _SPINE and symbol not in table:
-            raise MissingInterpretation(symbol, f"not in {inst.name}") from None
-        raise
+    if type(value) is int:
+        c, v = numeral(value)
+    else:
+        c, v = eps, cons("nil")
+        for n in value:
+            c_n, v_n = numeral(n)
+            c = com(com(eps, c, eps), c_n, eps)
+            f = cons("cons")
+            f = (f if type(f) is SFun else as_fun(f)).fn(v)
+            v = (f if type(f) is SFun else as_fun(f)).fn(v_n)
     return SPair(c, v)
 
 

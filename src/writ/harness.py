@@ -287,9 +287,11 @@ SEARCH_TEMPLATE = (
 
 
 def _search_recurrence(omega: SemVal, g: SemVal, fuel: Fuel) -> int:
-    """Round-by-round unfolding of the search cost, coded independently of
-    the closed form: an unsettled round costs a five-step frame plus omega's
-    work, and extending costs another five plus the stream's work."""
+    """Round-by-round unfolding of the search cost, summed as it goes where
+    the closed form sums at the end. It shares the closed form's constants
+    (an unsettled round costs a five-step frame plus omega's work, and
+    extending costs another five plus the stream's work), so it checks the
+    closed form's sums, not its constants against the machine."""
     w, gf = as_fun(omega), as_fun(g)
     ext = as_fun(lift_builtin(BUILTINS["ext"], COST))
     xs = BaseList()

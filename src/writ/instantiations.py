@@ -247,11 +247,9 @@ def _exact_inst(name: str, eff: EffectTriple, fuel: Fuel, **extra: SemVal) -> In
         name=name,
         effect=eff,
         cons_interp=EXACT_CONS,
-        func_interp={**builtins, "bar": search(eff, builtins["ext"], fuel), **extra},
-        func_families={
-            "rec": recursor(eff, _rec_indices, fuel),
-            "fold": recursor(eff, _fold_indices, fuel),
-        },
+        func_interp={**builtins, "bar": search(eff, builtins["ext"], fuel),
+                     "rec": recursor(eff, _rec_indices, fuel),
+                     "fold": recursor(eff, _fold_indices, fuel), **extra},
     )
 
 
@@ -318,8 +316,8 @@ def cost_bounded_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
             "nil": Base(0),
             "cons": SFun(lambda a: SFun(lambda n: Base(as_base(a).value + 1))),
         },
-        func_interp=_lifted(COST, ("add", "mul", "lt", "len"), _one),
-        func_families={"fold": recursor(COST, _size_indices, fuel, _join_max)},
+        func_interp={**_lifted(COST, ("add", "mul", "lt", "len"), _one),
+                     "fold": recursor(COST, _size_indices, fuel, _join_max)},
     )
 
 
@@ -344,9 +342,7 @@ def majorizability_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
             # comparisons only ever produce 0 or 1; the constant covers both,
             # whereas the exact comparison is not monotone and so no majorant
             **_lifted(TRIVIAL, ("lt",), _one),
-        },
-        func_families={
-            "rec": recursor(TRIVIAL, _rec_indices, fuel, _join_flat, envelope=True)
+            "rec": recursor(TRIVIAL, _rec_indices, fuel, _join_flat, envelope=True),
         },
     )
 

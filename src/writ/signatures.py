@@ -430,8 +430,9 @@ class Table(OracleSpec):
     default: int = 0
 
     def __post_init__(self) -> None:
-        # one test per pair on the good path: the modulus check builds a
-        # table for every perturbation trial
+        # one test per pair on the good path, for a table read from the
+        # command line or an annotation (the modulus check's perturbation
+        # trials use harness._listed oracles, not tables)
         seen = set()
         for k, v in self.pairs:
             if k < 0 or v < 0 or k in seen:

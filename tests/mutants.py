@@ -26,7 +26,7 @@ def overcharging_exact_inst() -> Instantiation:
     """Exact-cost analysis that bills two steps per recursion unfold."""
     inst = cost_exact_inst()
     broken = recursor(replace(COST, inc=lambda c: c + 2), _rec_indices)
-    return replace(inst, func_families={**inst.func_families, "rec": broken})
+    return replace(inst, func_interp={**inst.func_interp, "rec": broken})
 
 
 def forgetful_continuity_inst(g: OracleSpec) -> Instantiation:
@@ -40,7 +40,7 @@ def undercounting_bounded_inst() -> Instantiation:
     """Bounded-cost analysis that drops the base step of every fold round."""
     inst = cost_bounded_inst()
     broken = recursor(replace(COST, inc=lambda c: c), _size_indices, join=_join_max)
-    return replace(inst, func_families={**inst.func_families, "fold": broken})
+    return replace(inst, func_interp={**inst.func_interp, "fold": broken})
 
 
 def shrinking_majorizability_inst() -> Instantiation:

@@ -7,7 +7,8 @@ as many generated arguments as leave the wanted type. The symbols are those
 of system_t, plus the numeral builtins add, mul and lt when arithmetic or
 lists are on, plus the rest of system_t_list and the list lookup ext when
 lists are on, with the recursor families at first-order (Nat, List) and
-second-order (Nat->Nat) indices.
+second-order (Nat->Nat) indices, plus the search combinator bar of bar_rec
+when bar is on.
 Binders reuse a few names, so shadowing comes up too.
 """
 
@@ -21,6 +22,7 @@ from writ.syntax import Term, Ty, render_type
 N2N = Arrow(NAT, NAT)
 NAT2 = Arrow(NAT, N2N)
 FUNCTIONAL = Arrow(N2N, NAT)
+BAR = Arrow(FUNCTIONAL, Arrow(Arrow(LIST, NAT), Arrow(Arrow(LIST, FUNCTIONAL), Arrow(LIST, NAT))))
 
 _NAMES = ("x", "y", "z")
 
@@ -31,8 +33,10 @@ def _family(kind: str, index: Ty) -> tuple[Term, Ty]:
     return Func(f"{kind}[{render_type(index)}]"), Arrow(index, Arrow(step, Arrow(domain, index)))
 
 
-def _symbols(lists: bool, arithmetic: bool) -> list[tuple[Term, Ty]]:
+def _symbols(lists: bool, arithmetic: bool, bar: bool) -> list[tuple[Term, Ty]]:
     out = [(Cons("succ"), N2N), _family("rec", NAT), _family("rec", N2N)]
+    if bar:
+        out.append((Func("bar"), BAR))
     if lists or arithmetic:
         out += [(Func("add"), NAT2), (Func("mul"), NAT2), (Func("lt"), NAT2)]
     if lists:
@@ -86,9 +90,11 @@ def _term(draw, ty: Ty, ctx: dict[str, Ty], depth: int, syms: list, arg_types: t
 
 @st.composite
 def closed_terms(
-    draw, ty: Ty, lists: bool = True, max_depth: int = 3, arithmetic: bool = False
+    draw, ty: Ty, lists: bool = True, max_depth: int = 3, arithmetic: bool = False,
+    bar: bool = False,
 ) -> Term:
     """A closed term of type ty over system_t, with add, mul and lt if
-    arithmetic, or over system_t_list and ext if lists."""
+    arithmetic, or over system_t_list and ext if lists, and with bar if
+    bar (which the signature bar_rec declares)."""
     arg_types = (NAT, N2N, LIST) if lists else (NAT, N2N)
-    return _term(draw, ty, {}, max_depth, _symbols(lists, arithmetic), arg_types)
+    return _term(draw, ty, {}, max_depth, _symbols(lists, arithmetic, bar), arg_types)

@@ -323,6 +323,17 @@ def test_sig_override(wt, capsys):
         2, "", "writ: undeclared symbol 'fold[Nat]'\n")
 
 
+@pytest.mark.parametrize("command, option, value", [
+    *((command, "--sig", "t") for command in ("modulus", "bound", "majorize", "verify")),
+    *((command, "--oracle", "identity") for command in ("cost", "majorize", "verify")),
+    # refused before the oracle is read, so a missing file is not opened
+    ("bound", "--oracle", "missing.json"),
+])
+def test_options_a_command_never_reads_are_refused(wt, capsys, command, option, value):
+    assert run(capsys, command, wt("ff2.wt", FF2), option, value) == (
+        2, "", f"writ: {option} does not apply to {command}\n")
+
+
 def test_parse_error_exit_code(wt, capsys):
     code, _, err = run(capsys, "eval", wt("broken.wt", "add 1 ("))
     assert code == 2

@@ -348,20 +348,21 @@ def _capped(delta):
 
 
 def _generated_signature(lists: bool) -> Signature:
-    """system_t, or system_t_list plus ext, with builtins that give up past
-    _CAP.
+    """system_t, or bar_rec (system_t_list plus ext and the search bar/bar1)
+    with builtins that give up past _CAP; the search's rules run the capped
+    lt, len and ext.
 
     Without builtins a value grows by one constructor at a time, which the
     fuel bounds; add and mul double and square it with one step each."""
     if not lists:
         return system_t()
     base = bar_rec()
-    functions = {}
+    functions = {name: base.func_decl(name) for name in ("bar", "bar1")}
     for name in ("add", "mul", "lt", "len", "ext"):
         decl = base.func_decl(name)
         functions[name] = FuncDecl(decl.ty, replace(decl.impl, delta=_capped(decl.impl.delta)))
     constructors = {name: base.cons_decl(name) for name in ("zero", "succ", "nil", "cons")}
-    return Signature("system_t_list+ext", base.datatypes, constructors, functions,
+    return Signature("bar_rec+capped", base.datatypes, constructors, functions,
                      {"rec", "fold"})
 
 
@@ -372,9 +373,13 @@ _GEN = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
 
+# a list term of one of these types, with the search bar drawn on or off
+LIST_TERMS = st.tuples(st.sampled_from([NAT, LIST, N2N, NAT2]), st.booleans()).flatmap(
+    lambda drawn: st.tuples(st.just(drawn[0]), closed_terms(drawn[0], lists=True, bar=drawn[1])))
+
+
 @_GEN
-@given(st.sampled_from([NAT, LIST, N2N, NAT2]).flatmap(
-    lambda ty: st.tuples(st.just(ty), closed_terms(ty, lists=True))))
+@given(LIST_TERMS)
 def test_generated_list_terms_agree(typed):
     ty, term = typed
     sig = _generated_signature(lists=True)
@@ -432,7 +437,8 @@ def assert_costs_agree(term, ty, res):
 
 def assert_majorized(term, res):
     """The majorant is at least the machine's value, wherever majorizability
-    interprets every symbol of the term (no list constructor, fold or ext)."""
+    interprets every symbol of the term (no list constructor, fold, ext or
+    bar)."""
     try:
         maj = majorant(term)
     except MissingInterpretation:
@@ -441,8 +447,7 @@ def assert_majorized(term, res):
 
 
 @_GEN
-@given(st.sampled_from([NAT, LIST, N2N, NAT2]).flatmap(
-    lambda ty: st.tuples(st.just(ty), closed_terms(ty, lists=True))))
+@given(LIST_TERMS)
 def test_generated_list_terms_analyses_agree(typed):
     ty, term = typed
     sig = _generated_signature(lists=True)
@@ -550,8 +555,7 @@ def _denote_outcome(run, make, mt, ty, fuel):
     error."""
     inst = make(fuel)
     inst = replace(inst, cons_interp=_Reads(inst.cons_interp),
-                   func_interp=_Reads(inst.func_interp),
-                   func_families=_Reads(inst.func_families))
+                   func_interp=_Reads(inst.func_interp))
     shown = []
     try:
         v = run(inst, {}, mt)
@@ -562,8 +566,7 @@ def _denote_outcome(run, make, mt, ty, fuel):
             ty = ty.cod
     except WritError as err:
         shown.append(type(err).__name__)
-    reads = tuple(dict(d.by_symbol) for d in
-                  (inst.cons_interp, inst.func_interp, inst.func_families))
+    reads = tuple(dict(d.by_symbol) for d in (inst.cons_interp, inst.func_interp))
     return shown, reads
 
 

@@ -4,6 +4,7 @@ import json
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from mutants import (
     forgetful_continuity_inst,
@@ -11,11 +12,14 @@ from mutants import (
     shrinking_majorizability_inst,
     undercounting_bounded_inst,
 )
+from term_strategies import FUNCTIONAL, N2N, closed_terms
 from writ import (
     Constant,
+    Fuel,
     Identity,
     Table,
     parse_term,
+    render_term,
     run_corpus,
     verify_bound,
     verify_exact_cost,
@@ -203,6 +207,15 @@ def test_verify_spector_probing_pair():
     assert rep.passed, rep.details
     assert rep.evidence["returned"] == 3
     assert rep.evidence["closed_form"] == rep.evidence["recurrence"] == 46
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(closed_terms(FUNCTIONAL, lists=True), closed_terms(N2N, lists=True))
+def test_verify_spector_passes_on_generated_searches(omega, beta):
+    # the full term's prediction is its steps, and the count it returns is
+    # a settling point, for any functional and stream the generator draws
+    rep = verify_spector(omega, beta, fuel=Fuel(2000))
+    assert rep.passed, (render_term(omega), render_term(beta), rep.details)
 
 
 def _write(tmp_path, name, text):
