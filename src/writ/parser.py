@@ -7,9 +7,11 @@ Grammar sketch:
     appterm ::= appterm atom | atom
     atom    ::= ident | numeral | "[" numerals "]" | "(" term ")"
 
-Arrows associate right, application associates left. "--" starts a line
-comment. The reserved identifiers resolve to constructor/function symbols;
-"rec" and "fold" must be followed immediately by a bracketed type index and
+Tokens are (kind, text, offset) tuples from one regex scan, which ends in
+an "eof" token and stops at the first character no token spells. Arrows
+associate right, application associates left. "--" starts a line comment.
+The reserved identifiers resolve to constructor/function symbols; "rec"
+and "fold" must be followed immediately by a bracketed type index and
 resolve to the monomorphic family member, e.g. rec[Nat->Nat]. Numerals,
 list brackets, zero, nil and each complete application are folded into
 literal nodes where they spell one (see syntax.fold_literal).
@@ -18,7 +20,7 @@ literal nodes where they spell one (see syntax.fold_literal).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import TypeVar
 
 from .errors import ParseError
 from .syntax import (
@@ -57,30 +59,26 @@ _TOKEN_RE = re.compile(
     | (?P<colon>:)
     | (?P<num>\d+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<eof>\Z)
+    | (?P<bad>.)
     """,
     re.VERBOSE,
 )
 
-
-@dataclass(slots=True)  # one per token; immutable by convention
-class _Token:
-    kind: str
-    text: str
-    offset: int
+_RESERVED = CONS_NAMES | FUNC_NAMES | _INDEXED | {"fn"}
+_BASE_TYPES = {"Nat": NAT, "List": LIST}
+Token = tuple[str, str, int]  # (kind, text, offset)
+T = TypeVar("T")
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            line, col = _line_col(text, pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        if m.lastgroup != "skip":
-            tokens.append(_Token(m.lastgroup or "", m.group(), pos))
-        pos = m.end()
-    tokens.append(_Token("eof", "", len(text)))
+def _tokenize(text: str) -> list[Token]:
+    tokens: list[Token] = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", *_line_col(text, m.start()))
+        if kind != "skip":
+            tokens.append((kind, m.group(), m.start()))
     return tokens
 
 
@@ -96,136 +94,122 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Token:
+    def peek(self) -> Token:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
+    def next(self) -> Token:
         self.pos += 1
-        return tok
+        return self.tokens[self.pos - 1]
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str) -> Token:
         tok = self.next()
-        if tok.kind != kind:
-            self.fail(f"expected {what}, got {tok.text or 'end of input'!r}", tok)
+        if tok[0] != kind:
+            raise self.error(f"expected {what}, got {tok[1] or 'end of input'!r}", tok)
         return tok
 
-    def fail(self, message: str, tok: _Token) -> None:
-        line, col = _line_col(self.text, tok.offset)
-        raise ParseError(message, line, col)
+    def error(self, message: str, tok: Token) -> ParseError:
+        return ParseError(message, *_line_col(self.text, tok[2]))
 
     # ---- types
 
     def type_(self) -> Ty:
         left = self.type_atom()
-        if self.peek().kind == "arrow":
+        if self.peek()[0] == "arrow":
             self.next()
             return Arrow(left, self.type_())
         return left
 
     def type_atom(self) -> Ty:
         tok = self.next()
-        if tok.kind == "ident" and tok.text == "Nat":
-            return NAT
-        if tok.kind == "ident" and tok.text == "List":
-            return LIST
-        if tok.kind == "lparen":
+        if tok[1] in _BASE_TYPES:
+            return _BASE_TYPES[tok[1]]
+        if tok[0] == "lparen":
             inner = self.type_()
             self.expect("rparen", "')'")
             return inner
-        self.fail(f"expected a type, got {tok.text or 'end of input'!r}", tok)
-        raise AssertionError  # unreachable
+        raise self.error(f"expected a type, got {tok[1] or 'end of input'!r}", tok)
 
     # ---- terms
 
     def term(self) -> Term:
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "fn":
-            self.next()
-            name = self.expect("ident", "a variable name")
-            if name.text in CONS_NAMES | FUNC_NAMES | _INDEXED or name.text == "fn":
-                self.fail(f"{name.text!r} is reserved", name)
-            self.expect("colon", "':'")
-            ty = self.type_()
-            self.expect("darrow", "'=>'")
-            return Lam(name.text, ty, self.term())
-        return self.appterm()
+        if self.peek()[1] != "fn":
+            return self.appterm()
+        self.next()
+        name = self.expect("ident", "a variable name")
+        if name[1] in _RESERVED:
+            raise self.error(f"{name[1]!r} is reserved", name)
+        self.expect("colon", "':'")
+        ty = self.type_()
+        self.expect("darrow", "'=>'")
+        return Lam(name[1], ty, self.term())
 
     def appterm(self) -> Term:
         t = self.atom()
-        while self._starts_atom(self.peek()):
+        # only an identifier spells "fn", which starts a term but no atom
+        while (tok := self.peek())[0] in ("num", "lparen", "lbracket", "ident") and tok[1] != "fn":
             t = App(t, self.atom())
         # folded only once complete: "succ 0 0" stays the spine it is written as
         return fold_literal(t)
 
-    @staticmethod
-    def _starts_atom(tok: _Token) -> bool:
-        if tok.kind in ("num", "lparen", "lbracket"):
-            return True
-        return tok.kind == "ident" and tok.text != "fn"
-
     def atom(self) -> Term:
         tok = self.next()
-        if tok.kind == "num":
-            return numeral(int(tok.text))
-        if tok.kind == "lparen":
+        kind = tok[0]
+        if kind == "num":
+            return numeral(int(tok[1]))
+        if kind == "lparen":
             inner = self.term()
             self.expect("rparen", "')'")
             return inner
-        if tok.kind == "lbracket":
+        if kind == "lbracket":
             return self.list_literal()
-        if tok.kind == "ident":
+        if kind == "ident":
             return self.ident_atom(tok)
-        self.fail(f"expected a term, got {tok.text or 'end of input'!r}", tok)
-        raise AssertionError  # unreachable
+        raise self.error(f"expected a term, got {tok[1] or 'end of input'!r}", tok)
 
     def list_literal(self) -> Term:
         items: list[int] = []
-        if self.peek().kind == "rbracket":
+        if self.peek()[0] == "rbracket":
             self.next()
             return list_term(items)
         while True:
-            tok = self.expect("num", "a numeral")
-            items.append(int(tok.text))
+            items.append(int(self.expect("num", "a numeral")[1]))
             tok = self.next()
-            if tok.kind == "rbracket":
+            if tok[0] == "rbracket":
                 return list_term(items)
-            if tok.kind != "comma":
-                self.fail("expected ',' or ']'", tok)
+            if tok[0] != "comma":
+                raise self.error("expected ',' or ']'", tok)
 
-    def ident_atom(self, tok: _Token) -> Term:
-        name = tok.text
+    def ident_atom(self, tok: Token) -> Term:
+        _, name, offset = tok
         if name in CONS_NAMES:
             return fold_literal(Cons(name))
         if name in FUNC_NAMES:
             return Func(name)
         if name in _INDEXED:
             # the index bracket must touch the symbol: rec[Nat], not rec [Nat]
-            nxt = self.peek()
-            if nxt.kind != "lbracket" or nxt.offset != tok.offset + len(name):
-                self.fail(f"{name!r} needs a type index, e.g. {name}[Nat]", tok)
+            if not self.text.startswith("[", offset + len(name)):
+                raise self.error(f"{name!r} needs a type index, e.g. {name}[Nat]", tok)
             self.next()
             ty = self.type_()
             self.expect("rbracket", "']'")
             return Func(f"{name}[{render_type(ty)}]")
         return Var(name)
 
+    def end(self, result: T) -> T:
+        """result, once the rule that read it has read all of the text."""
+        tok = self.peek()
+        if tok[0] != "eof":
+            raise self.error(f"unexpected trailing input {tok[1]!r}", tok)
+        return result
+
 
 def parse_term(text: str) -> Term:
     """Parse a single term; comments and surrounding whitespace are ignored."""
     p = _Parser(text)
-    t = p.term()
-    tok = p.peek()
-    if tok.kind != "eof":
-        p.fail(f"unexpected trailing input {tok.text!r}", tok)
-    return t
+    return p.end(p.term())
 
 
 def parse_type(text: str) -> Ty:
     """Parse a type in the same syntax used by term annotations."""
     p = _Parser(text)
-    ty = p.type_()
-    tok = p.peek()
-    if tok.kind != "eof":
-        p.fail(f"unexpected trailing input {tok.text!r}", tok)
-    return ty
+    return p.end(p.type_())

@@ -36,6 +36,7 @@ from .syntax import (
     Term,
     Ty,
     Var,
+    _check_datatypes,
     app,
     render_type,
     symbols,
@@ -140,19 +141,24 @@ class Signature:
     # ---- function symbols
 
     def has_func(self, name: str) -> bool:
-        if name in self._funcs:
-            return True
-        m = _FAMILY_RE.match(name)
-        return bool(m) and m.group(1) in self._families
+        try:
+            self.func_decl(name)
+        except UndeclaredSymbol:
+            return False
+        return True
 
     def func_decl(self, name: str) -> FuncDecl:
+        """The declaration of name. A member of a declared recursor family
+        exists only when every datatype of its type is declared too."""
         decl = self._funcs.get(name)
         if decl is not None:
             return decl
         m = _FAMILY_RE.match(name)
-        if m and m.group(1) in self._families:
-            return _family_decl(name)
-        raise UndeclaredSymbol(name)
+        if m is None or m.group(1) not in self._families:
+            raise UndeclaredSymbol(name)
+        decl = _family_decl(name)
+        _check_datatypes(self, decl.ty)
+        return decl
 
     def func_type(self, name: str) -> Ty:
         return self.func_decl(name).ty

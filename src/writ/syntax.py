@@ -266,12 +266,9 @@ def render_term(t: Term) -> str:
     if isinstance(t, Lam):
         return f"fn {t.var}:{render_type(t.var_ty)} => {render_term(t.body)}"
     head, args = spine(t)
-    return " ".join(_render_atom(s) for s in (head, *args))
-
-
-def _render_atom(t: Term) -> str:
-    s = render_term(t)
-    return f"({s})" if isinstance(t, (Lam, App)) else s
+    # a list, not a generator, which would add a host frame per level
+    return " ".join([f"({render_term(s)})" if isinstance(s, (Lam, App)) else render_term(s)
+                     for s in (head, *args)])
 
 
 # ---------------------------------------------------------------- substitution

@@ -321,6 +321,11 @@ def test_sig_override(wt, capsys):
     # cost reads the term under its own signature, but the override must admit it
     assert run(capsys, "cost", wt("fold2.wt", FOLD2), "--sig", "t") == (
         2, "", "writ: undeclared symbol 'fold[Nat]'\n")
+    # a list-indexed recursor is list-typed, so the smallest signature lacks it
+    assert run(capsys, "check", wt("rl.wt", "rec[List]")) == (
+        0, '{"type":"List->(Nat->List->List)->Nat->List"}\n', "")
+    assert run(capsys, "check", wt("rl.wt", "rec[List]"), "--sig", "t") == (
+        2, "", "writ: undeclared symbol 'List'\n")
 
 
 @pytest.mark.parametrize("command, option, value", [

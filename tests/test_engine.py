@@ -71,7 +71,6 @@ from writ import engine
 from writ.engine import (
     _APP, _COM, _INC, _LAM, _LEFT, _PAIR, _RIGHT, EXACT_CONS, EXACT_NAT_CONS, _flatten, _literal,
 )
-from writ.parser import _Token
 from writ.syntax import Lit, literal_spine
 
 SEARCH = f"({SEARCH_TEMPLATE})"
@@ -154,7 +153,7 @@ def test_value_semantics():
     assert f == f and f != SFun(f.fn)
     # slotted and not frozen, which would cost a __setattr__ call per field
     # on every build
-    for v in (Base(3), SPair(1, Base(2)), f, _Token("num", "3", 0)):
+    for v in (Base(3), SPair(1, Base(2)), f):
         assert not hasattr(v, "__dict__")
         assert type(v).__setattr__ is object.__setattr__
 

@@ -105,11 +105,36 @@ def test_parse_type_right_associative():
     assert parse_type("(Nat->Nat)->Nat") == Arrow(Arrow(NAT, NAT), NAT)
 
 
-def test_parse_errors_carry_position():
+@pytest.mark.parametrize("parse, text, line, column, message", [
+    (parse_term, "add 1 %", 1, 7, "unexpected character '%'"),
+    (parse_term, "0\n  @", 2, 3, "unexpected character '@'"),
+    (parse_term, "", 1, 1, "expected a term, got 'end of input'"),
+    (parse_term, "(", 1, 2, "expected a term, got 'end of input'"),
+    (parse_term, "fn 3", 1, 4, "expected a variable name, got '3'"),
+    (parse_term, "fn succ:Nat => 0", 1, 4, "'succ' is reserved"),
+    (parse_term, "fn x Nat", 1, 6, "expected ':', got 'Nat'"),
+    (parse_term, "fn x:Foo => x", 1, 6, "expected a type, got 'Foo'"),
+    (parse_term, "fn x:Nat 0", 1, 10, "expected '=>', got '0'"),
+    (parse_term, "[1,]", 1, 4, "expected a numeral, got ']'"),
+    (parse_term, "[,1]", 1, 2, "expected a numeral, got ','"),
+    (parse_term, "[1 2]", 1, 4, "expected ',' or ']'"),
+    (parse_term, "[1,2", 1, 5, "expected ',' or ']'"),
+    (parse_term, "rec [Nat]", 1, 1, "'rec' needs a type index, e.g. rec[Nat]"),
+    (parse_term, "rec", 1, 1, "'rec' needs a type index, e.g. rec[Nat]"),
+    (parse_term, "rec[Nat", 1, 8, "expected ']', got 'end of input'"),
+    (parse_term, "add 1 2)", 1, 8, "unexpected trailing input ')'"),
+    (parse_term, "fn x:(Nat => x", 1, 11, "expected ')', got '=>'"),
+    # a byte-order mark is not whitespace
+    (parse_term, "\ufeff0", 1, 1, "unexpected character '\\ufeff'"),
+    (parse_type, "Nat->", 1, 6, "expected a type, got 'end of input'"),
+    (parse_type, "Nat Nat", 1, 5, "unexpected trailing input 'Nat'"),
+    (parse_type, "(Nat", 1, 5, "expected ')', got 'end of input'"),
+])
+def test_parse_errors_carry_position(parse, text, line, column, message):
     with pytest.raises(ParseError) as exc:
-        parse_term("add 1 %")
-    assert exc.value.line == 1
-    assert exc.value.column == 7
+        parse(text)
+    assert (exc.value.line, exc.value.column) == (line, column)
+    assert str(exc.value) == f"{line}:{column}: {message}"
 
 
 def test_trailing_garbage_rejected():

@@ -37,6 +37,7 @@ from writ import (
     symbols,
     system_t,
     system_t_list,
+    typecheck,
     with_oracle,
 )
 from writ.syntax import LIST, App, Data, PCons, PVar
@@ -75,6 +76,22 @@ def test_family_membership_per_signature():
     assert not tl.has_func("bar")
     with pytest.raises(UndeclaredSymbol):
         t.func_type("fold[Nat]")
+
+
+def test_family_members_need_their_index_datatypes():
+    # the family is declared, but its index names a datatype that is not
+    t = system_t()
+    assert not t.has_func("rec[List]")
+    assert not t.has_func("rec[Nat->List]")
+    assert system_t_list().has_func("rec[List]")
+    with pytest.raises(UndeclaredSymbol) as exc:
+        typecheck(t, {}, parse_term("rec[List]"))
+    assert exc.value.name == "List"
+    # the same rule as for an annotation
+    with pytest.raises(UndeclaredSymbol) as exc:
+        typecheck(t, {}, parse_term("fn x:List => x"))
+    assert exc.value.name == "List"
+    assert signature_for(parse_term("rec[List]")).name == "system_t_list"
 
 
 def test_rec_family_types_are_index_polymorphic():
@@ -322,7 +339,8 @@ def reference_signature_name(t) -> str:
     names = symbols(t)
     if names & _BAR_SYMBOLS:
         return "bar_rec"
-    if (names & _LIST_SYMBOLS or any(n.startswith("fold[") for n in names)
+    if (names & _LIST_SYMBOLS
+            or any(n.startswith("fold[") or n.startswith("rec[") and "List" in n for n in names)
             or any("List" in render_type(ty) for ty in _annotations(t))):
         return "system_t_list"
     return "system_t"

@@ -1,5 +1,8 @@
 """Core term machinery: sugar, substitution, matching, values, typing."""
 
+import inspect
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -221,6 +224,20 @@ def test_render_term_sugars_numerals_and_lists():
     assert render_term(list_term([1, 2, 3])) == "[1,2,3]"
     assert render_term(Lam("x", NAT, Var("x"))) == "fn x:Nat => x"
     assert render_term(app(Func("add"), numeral(2), numeral(3))) == "add 2 3"
+
+
+def test_render_term_takes_two_host_frames_per_level():
+    n = 300
+    t = Var("x")
+    for _ in range(n):
+        t = App(Cons("succ"), t)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 2 * n + 50)
+    try:
+        rendered = render_term(t)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rendered == "succ (" * (n - 1) + "succ x" + ")" * (n - 1)
 
 
 def test_render_parse_round_trip_on_samples():
