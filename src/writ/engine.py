@@ -10,9 +10,12 @@ slotted dataclasses, immutable by convention rather than frozen, since the
 analyses build several per recursor stage. Swapping the triple and the
 symbol interpretations changes the analysis without touching the
 interpreter. denote flattens the top level and each closure's body into a
-list of entries, and compiles each list once into a cached host function
-with one statement per entry rather than running a loop over its nodes.
-Closures are flat: a body compiles to a maker that takes the values the
+list of entries, and compiles each list into a host function with one
+statement per entry rather than running a loop over its nodes. It does so
+once per meta term, whatever the instantiation: the compiled scopes stay
+with the meta term for as long as it lives, and only the closures' cells,
+their makers over one call's tables and the literal values are made per
+call. Closures are flat: a body compiles to a maker that takes the values the
 lambda reads from the scopes around it (the names the translation records
 in MLam.free) and returns a plain Python function of the argument, so a
 call of a closure is one Python frame. denote
@@ -29,6 +32,7 @@ application and symbol read still runs once, in order.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -259,11 +263,14 @@ _OPS: dict[type, int] = {
     M.BFunc: _FUNC, M.MLit: _LIT,
 }
 
-def _flatten(
-    root: M.MetaTerm,
-    params: tuple[str, ...] = (),
-    cells: dict[tuple[int, tuple[str, ...]], list] | None = None,
-) -> tuple[list[tuple], int]:
+class _Body(tuple):
+    """A lambda's body and the parameters it compiles under, its captured
+    names then its variable: the static half of a closure's cell."""
+
+    __slots__ = ()
+
+
+def _flatten(root: M.MetaTerm, params: tuple[str, ...] = ()) -> tuple[list[tuple], int]:
     """One scope as a children-first list of entries, and the position of
     the root's value in it, with the translation's administrative redexes
     resolved on the way.
@@ -287,9 +294,9 @@ def _flatten(
 
     A lambda's entry makes a closure. It captures the bindings of env that
     the lambda reads (lam.free, which the translation records), in env's
-    order, by position. Its first operand is the lambda's cell in cells,
-    [compiled maker or None, lam, captured names], one for each lambda and
-    captured names; its second is the captured positions.
+    order, by position. Its first operand is a _Body, the lambda's body and
+    its parameters (the captured names, then the lambda's variable); its
+    second is the captured positions.
 
     Every other node gets one entry per scope or inlined body (the empty
     effect one per scope), a shared node once, in the order a left-to-right
@@ -302,7 +309,6 @@ def _flatten(
     """
     code: list[tuple] = [(_ARG, name, None, None) for name in params]
     emit = code.append
-    cells = {} if cells is None else cells
     made: dict[int, tuple] = {}  # id of a static value -> (it, its position)
     inlining: set[int] = set()  # ids of the lambdas whose bodies are being inlined
     iota = None  # the position of the scope's one empty effect
@@ -335,12 +341,9 @@ def _flatten(
             if w[0] == _PAIR:
                 emit((_PAIR, position(w[1]), position(w[2]), None))
             else:
-                names = captured(w)
-                key = (id(w[1]), names)
-                cell = cells.get(key)
-                if cell is None:
-                    cell = cells[key] = [None, w[1], names]
-                emit((_LAM, cell, tuple(position(w[2][name]) for name in names), None))
+                names, lam = captured(w), w[1]
+                emit((_LAM, _Body((lam.body, (*names, lam.var))),
+                      tuple(position(w[2][name]) for name in names), None))
         return made[id(v)][1]
 
     # the memo of the scope or inlined body being flattened (node id -> its
@@ -478,14 +481,18 @@ def _compile(code: list[tuple], root: int) -> tuple[str, tuple]:
     captured values, then its argument. run has one statement per other
     entry, in the list's order, then returns the root's value.
 
-    The source holds only opcodes and positions: every name, symbol, cell
-    and literal node is a leaf, read from K, so scopes of one shape with
-    other names or literal values have the same source. A value read for
-    its shape is checked with the as_* guard, and so fails with the same
-    error, unless the entry that made it fixes its class. A lambda's entry
-    makes a closure, an SFun over the run its body's maker returns for the
-    captured values; a cell whose lambda captures nothing holds that run
-    itself. So a call of a closure is one call of a plain Python function.
+    The source holds only opcodes and positions: every name, symbol and
+    lambda's _Body, and each literal's id and value, is a leaf, read from
+    K, so scopes of one shape with other names or literal values have the
+    same source. The leaves hold no node but lambdas' bodies. A value read
+    for its shape is checked with the as_* guard, and so fails with the
+    same error, unless the entry that made it fixes its class. A lambda's
+    entry makes a closure, an SFun over the run its body's maker returns
+    for the captured values. Its leaf in K is the lambda's cell of the
+    denote call (which puts it in the _Body's place): [compiled maker or
+    None, body, parameters], whose maker, when the lambda captures nothing,
+    is that run itself. So a call of a closure is one call of a plain
+    Python function.
     """
     leaves: list = []
     params = [f"v{n}" for n, entry in enumerate(code) if entry[0] == _ARG]
@@ -536,9 +543,9 @@ def _compile(code: list[tuple], root: int) -> tuple[str, tuple]:
             emit(f"{v}SFun(({fn})({', '.join(f'v{i}' for i in y)}))" if y
                  else f"{v}SFun({fn})")
         elif op == _LIT:
-            node = leaf(x)
-            emit(f"{v}literals.get(id({node}))")
-            emit(f"   if v{n} is None: v{n} = literal({node})")
+            key = leaf(id(x))
+            emit(f"{v}literals.get({key})")
+            emit(f"   if v{n} is None: v{n} = literal({key}, {leaf(x.value)})")
     emit(f"   return v{root}")
     emit("  return run")
     emit(" return make")
@@ -555,6 +562,34 @@ def _factory(source: str) -> Callable[..., Callable[..., SemVal]]:
     return namespace["factory"]
 
 
+# the compiled scopes of the live meta terms: the id of a scope's root ->
+# (a weak reference to the root, {params: (factory, leaves, the positions of
+# the _Body leaves)}). An entry leaves when its root dies, and a hit must
+# find the root itself, so a recycled id never hits. The leaves hold no node
+# but the bodies of lambdas below the root, so no entry keeps its root alive.
+_SCOPES: dict[int, tuple[weakref.ref, dict]] = {}
+
+
+def _scope(root: M.MetaTerm, params: tuple[str, ...]) -> tuple[Callable, tuple, tuple[int, ...]]:
+    """The factory and leaves of root's scope under params, with the
+    positions of its _Body leaves: flattened and compiled at the first
+    request, and kept for as long as root lives. A scope whose flattening
+    fails is not kept, so it fails again at each request."""
+    key = id(root)
+    entry = _SCOPES.get(key)
+    if entry is not None and entry[0]() is root:
+        hit = entry[1].get(params)
+        if hit is not None:
+            return hit
+    source, leaves = _compile(*_flatten(root, params))
+    hit = (_factory(source), leaves,
+           tuple(i for i, x in enumerate(leaves) if type(x) is _Body))
+    if entry is None or entry[0]() is not root:
+        entry = _SCOPES[key] = (weakref.ref(root, lambda _: _SCOPES.pop(key, None)), {})
+    entry[1][params] = hit
+    return hit
+
+
 def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     """Interpret a metalanguage term under an instantiation.
 
@@ -568,25 +603,33 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     Each list is then compiled into a flat host function with one statement
     per entry (see _compile); a cache keyed by its source text, which holds
     no names or literal values, keeps the recent shapes compiled across
-    calls. So a run of a scope executes no loop over its nodes, and its
+    terms. So a run of a scope executes no loop over its nodes, and its
     values live only as long as the run.
 
-    Closures are flat (closure conversion): a lambda's body is compiled
+    A scope is flattened and compiled once per meta term, not per call:
+    its factory and leaves stay with the scope's root, keyed by the root's
+    identity, for as long as the root lives (see _scope), so a second
+    denote of the same meta term, under any instantiation, flattens and
+    compiles nothing. Only the tables of one call are made per call: the
+    closures' cells, the compiled makers over the call's instantiation and
+    environment, and the literal values.
+
+    Closures are flat (closure conversion): a lambda's body gets a maker
     once per call of denote and per set of captured names, when the first
-    closure over it is built, into a maker whose parameters are the values
-    the body reads from the scopes around it (those of lam.free that a
-    binder there binds), by position. A closure is the function of its
-    argument that the maker returns for its captured values, or, when it
-    captures nothing, one function shared by every closure over the body.
-    So a call of it is one Python frame, and the host recurses only where
-    one closure's run calls another. Only a name that no binder binds is
-    read by name, from env, where the body reads it, so an unbound one
-    raises there. A body whose flattening fails raises at each call of its
+    closure over it is built. The maker's parameters are the values the
+    body reads from the scopes around it (those of lam.free that a binder
+    there binds), by position. A closure is the function of its argument
+    that the maker returns for its captured values, or, when it captures
+    nothing, one function shared by every closure over the body. So a call
+    of it is one Python frame, and the host recurses only where one
+    closure's run calls another. Only a name that no binder binds is read
+    by name, from env, where the body reads it, so an unbound one raises
+    there. A body whose flattening fails raises at each call of its
     closures, as it would if it were flattened at its first call. A literal
     leaf is built once per call, where a run first reaches it, however
     often the lambda around it is applied.
 
-    The compiled scopes and literal values are kept as long as the value
+    The makers and literal values of a call are kept as long as the value
     denote returns, or any function taken from it, is alive: such a
     function runs its body after denote has returned, with the same
     tables, and goes on filling them. That is sound because the
@@ -597,24 +640,34 @@ def denote(inst: Instantiation, env: SemEnv, mt: M.MetaTerm) -> SemVal:
     env = dict(env)
     # keyed by node id, for this call and the functions it returns
     literals: dict[int, SemVal] = {}  # a literal leaf's value
-    cells: dict[tuple[int, tuple[str, ...]], list] = {}  # see _flatten
+    cells: dict[tuple[int, tuple[str, ...]], list] = {}  # see _compile
 
-    def literal(node: M.MLit) -> SemVal:
-        v = literals[id(node)] = _literal(inst, node.value)
+    def literal(key: int, value: "int | tuple[int, ...]") -> SemVal:
+        v = literals[key] = _literal(inst, value)
         return v
 
     def compiled(root: M.MetaTerm, params: tuple[str, ...]) -> Callable[..., Callable]:
-        source, leaves = _compile(*_flatten(root, params, cells))
-        return _factory(source)(leaves, iota, eff.com, eff.inc, inst.cons, inst.func,
-                                literals, literal, body, env)
+        factory, leaves, bodies = _scope(root, params)
+        if bodies:
+            leaves = list(leaves)
+            for i in bodies:
+                lam_body, lam_params = leaves[i]
+                key = (id(lam_body), lam_params)
+                cell = cells.get(key)
+                if cell is None:
+                    cell = cells[key] = [None, lam_body, lam_params]
+                leaves[i] = cell
+        return factory(leaves, iota, eff.com, eff.inc, inst.cons, inst.func,
+                       literals, literal, body, env)
 
     def body(cell: list) -> Callable:
-        _, lam, captured = cell
+        _, lam_body, params = cell
         try:
-            make = compiled(lam.body, (*captured, lam.var))
+            make = compiled(lam_body, params)
         except MetaTypeMismatch as err:
             make = _malformed(str(err))
-        cell[0] = make if captured else make()
+        # a lambda that captures nothing has its variable alone for params
+        cell[0] = make if len(params) > 1 else make()
         return cell[0]
 
     return compiled(mt, ())()()

@@ -20,8 +20,9 @@ given its arity in arguments that are variables or constants compiles to
 one instruction, which reads them from the environment and fires the
 builtin or unfolds the rule at once; given fewer, it makes the partial
 application at once. oracle_runner keeps one machine and its code for a
-term applied to alpha and reruns that code for each oracle it is given, so
-a modulus check compiles once and runs once per oracle.
+term applied to alpha and reruns that code for each oracle it is given,
+handing back the value as the machine holds it, so the modulus checks of
+a file compile the term once between them and each oracle costs one run.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from .signatures import BaseList, Builtin, OracleSpec, Rule, Signature, with_ora
 from .syntax import (
     App,
     Cons,
+    Func,
     Lam,
     Lit,
     PVar,
@@ -407,23 +409,32 @@ def evaluate_typed(sig: Signature, e: Term, fuel: Fuel = DEFAULT_FUEL) -> EvalRe
 
 def oracle_runner(
     sig: Signature, e: Term, fuel: Fuel = DEFAULT_FUEL
-) -> Callable[[Callable[[int], int]], EvalResult]:
-    """A function taking each oracle g, any function on naturals, to
-    evaluate_typed(with_oracle(sig, g), e, fuel), with e and every rule it
-    reaches compiled once for all of them.
+) -> Callable[[Callable[[int], int]], tuple[int, int, tuple[int, ...]]]:
+    """A function taking each oracle g, any function on naturals, to the run
+    of e under with_oracle(sig, g) and fuel, as evaluate_typed makes it: the
+    value, the steps and the queries in call order. e must have type Nat,
+    and the value is its host int, not read back into a numeral. e and
+    every rule it reaches are compiled once for all the oracles.
 
-    alpha's delta reads the oracle from a cell that each call sets before
-    it runs the code."""
-    current: list = [None]
-    machine = _Machine(with_oracle(sig, lambda n: current[0](n)), fuel)
+    Each call sets alpha's delta to a function that logs its argument and
+    asks g, so a query is one host call besides g's own."""
+    machine = _Machine(with_oracle(sig, None), fuel)  # alpha's delta is set per run
     code = machine.compile(e, ())
+    alpha = machine.heads.get(Func("alpha"))  # None when e never reaches alpha
 
-    def run(g: Callable[[int], int]) -> EvalResult:
-        current[0] = g
+    def run(g: Callable[[int], int]) -> tuple[int, int, tuple[int, ...]]:
+        queries: list[int] = []
+        if alpha is not None:
+            log = queries.append
+
+            def ask(args: tuple) -> int:
+                log(args[0])
+                return g(args[0])
+
+            alpha.head.delta = ask
         machine.steps = 0
-        machine.queries = []
         v = machine.run(code, ())
-        return EvalResult(_read_back(v), machine.steps, tuple(machine.queries))
+        return v, machine.steps, tuple(queries)
 
     return run
 

@@ -5,8 +5,12 @@ search cost, against an independently coded recurrence) and the comparison
 is packaged as a VerifyReport. run_corpus drives a directory of annotated
 .wt files and never lets one bad file poison the rest.
 
-verify_modulus compiles the term applied to alpha once per check and runs
-that code once per oracle: the live one and each perturbed one.
+verify_file prepares each term once for all of its analyses (_Prepared):
+one typecheck, translation and evaluation, and one compiled program of the
+term applied to alpha, which every modulus check of the file runs once per
+oracle, the live one and each perturbed one. A perturbed trial is one run
+of that program, its value compared as the machine's int. Each public
+verifier runs the same check as verify_file, on a preparation of its own.
 """
 
 from __future__ import annotations
@@ -19,16 +23,20 @@ from typing import Callable, Mapping, Optional
 
 from .engine import COST, Base, BaseList, SemVal, as_base, as_fun, pair_parts
 from .errors import FuelExhausted, ParseError, WritError
-from .evaluator import DEFAULT_FUEL, Fuel, evaluate, oracle_runner
+from .evaluator import DEFAULT_FUEL, EvalResult, Fuel, evaluate, evaluate_typed, oracle_runner
 from .instantiations import (
     Instantiation,
-    bounded_cost,
+    _bounded_cost,
+    _exact_cost,
+    _majorant,
+    _modulus,
+    _refuse_unbounded,
+    _require_type_two,
     exact_cost,
     lift_builtin,
-    majorant,
-    modulus,
     spector_closed_form,
 )
+from .meta import MetaTerm, _translate
 from .parser import parse_term
 from .signatures import (
     BUILTINS,
@@ -42,6 +50,7 @@ from .syntax import (
     App,
     Func,
     Term,
+    Ty,
     app,
     list_term,
     list_value,
@@ -113,6 +122,55 @@ def _err(e: WritError) -> str:
     return f"{type(e).__name__}: {e}"
 
 
+# ---------------------------------------------------------------- preparation
+
+class _Prepared:
+    """The work on one term that its analyses share: its signature, and, each
+    made at its first use and kept, its type, its translation, its
+    evaluation and its oracle runner. A WritError that making one raises is
+    kept too, so each check that needs it again meets the same error.
+
+    Every check asks for what it reads in the order it reads it, so a file's
+    checks fail with the texts they fail with when each runs alone."""
+
+    def __init__(self, term: Term, fuel: Fuel) -> None:
+        self.term = term
+        self.fuel = fuel
+        self.sig = signature_for(term)
+        self._made: dict[str, object] = {}  # what -> it, or the WritError making it raised
+
+    def _once(self, what: str, make: Callable[[], object]):
+        if what not in self._made:
+            try:
+                self._made[what] = make()
+            except WritError as err:
+                self._made[what] = err
+        made = self._made[what]
+        if isinstance(made, WritError):
+            raise made
+        return made
+
+    def type(self) -> Ty:
+        return self._once("type", lambda: typecheck(self.sig, {}, self.term))
+
+    def meta(self) -> MetaTerm:
+        """The translation, behind the typecheck, as translate does it."""
+        self.type()
+        return self._once("meta", lambda: _translate(self.sig, self.term))
+
+    def evaluation(self) -> EvalResult:
+        """The evaluation, behind the typecheck, as evaluate does it."""
+        self.type()
+        return self._once("evaluation",
+                          lambda: evaluate_typed(self.sig, self.term, self.fuel))
+
+    def runner(self) -> Callable[[Callable[[int], int]], tuple]:
+        """The term applied to alpha, compiled once for every oracle of
+        every modulus check; only for a term of type two."""
+        return self._once("runner", lambda: oracle_runner(
+            self.sig, App(self.term, Func("alpha")), self.fuel))
+
+
 # ---------------------------------------------------------------- exact cost
 
 def verify_exact_cost(
@@ -122,11 +180,13 @@ def verify_exact_cost(
     fuel: Fuel = DEFAULT_FUEL,
 ) -> VerifyReport:
     """Predicted steps must equal observed steps, with zero tolerance."""
-    term_id = term_id or render_term(e)
-    sig = signature_for(e)
+    return _check_cost(_Prepared(e, fuel), term_id or render_term(e), inst)
+
+
+def _check_cost(p: _Prepared, term_id: str, inst: Optional[Instantiation] = None) -> VerifyReport:
     try:
-        res = evaluate(sig, e, fuel)
-        rep = exact_cost(e, fuel, inst=inst)
+        res = p.evaluation()
+        rep = _exact_cost(p.meta(), p.fuel, inst)
     except WritError as err:
         return _fail(term_id, "cost", _err(err))
     evidence = {"predicted": rep.predicted, "observed": res.steps}
@@ -160,29 +220,39 @@ def verify_modulus(
     modulus and at the _WINDOW positions from it up (a module constant, 8),
     the value never moves. Raises ValueError when trials is negative.
     """
+    return _check_modulus(_Prepared(e, fuel), g, trials, seed, term_id or render_term(e), inst)
+
+
+def _check_modulus(
+    p: _Prepared,
+    g: OracleSpec,
+    trials: int,
+    seed: int,
+    term_id: str,
+    inst: Optional[Instantiation] = None,
+) -> VerifyReport:
     if trials < 0:
         raise ValueError("trials must not be negative")
-    term_id = term_id or render_term(e)
     analysis = f"modulus({oracle_label(g)})"
     try:
-        # modulus checks that e has type two, so e applied to alpha is well
-        # typed under every oracle
-        rep = modulus(e, g, fuel, inst=inst)
-        run = oracle_runner(signature_for(e), App(e, Func("alpha")), fuel)
-        res = run(g)
+        # e has type two, so e applied to alpha is well typed under every oracle
+        _require_type_two(p.term, p.type())
+        rep = _modulus(p.meta(), g, p.fuel, inst)
+        run = p.runner()
+        value, _, queries = run(g)
     except WritError as err:
         return _fail(term_id, analysis, _err(err), trials=trials, seed=seed)
     evidence: dict[str, object] = {
         "phi": rep.phi,
         "support": rep.support,
         "predicted_value": rep.predicted_value,
-        "observed_value": numeral_value(res.value),
-        "queries": res.queries,
+        "observed_value": value,
+        "queries": queries,
     }
-    if numeral_value(res.value) != rep.predicted_value:
+    if value != rep.predicted_value:
         return _fail(term_id, analysis, "value differs under the live oracle",
                      evidence, trials, seed)
-    if not set(res.queries) <= set(rep.support):
+    if not set(queries) <= set(rep.support):
         return _fail(term_id, analysis, "evaluator queried outside the support",
                      evidence, trials, seed)
     rng = random.Random(seed)
@@ -199,17 +269,16 @@ def verify_modulus(
         for j in chosen:
             perturbed[j] += 1 + rng.randrange(5)
         try:
-            res_m = run(_listed(perturbed))
+            value = run(_listed(perturbed))[0]
         except WritError as err:
             return _fail(term_id, analysis, _err(err),
                          {**evidence, "mutated_positions": chosen}, trials, seed)
-        if numeral_value(res_m.value) != rep.predicted_value:
+        if value != rep.predicted_value:
             return _fail(
                 term_id,
                 analysis,
                 "perturbing unclaimed oracle positions changed the value",
-                {**evidence, "mutated_positions": chosen,
-                 "perturbed_value": numeral_value(res_m.value)},
+                {**evidence, "mutated_positions": chosen, "perturbed_value": value},
                 trials,
                 seed,
             )
@@ -228,10 +297,14 @@ def verify_bound(
 ) -> VerifyReport:
     """Observed steps must not exceed the bound; the size bound must cover
     the result (at least one for a numeral, at least the length for a list)."""
-    term_id = term_id or render_term(e)
+    return _check_bound(_Prepared(e, fuel), term_id or render_term(e), inst)
+
+
+def _check_bound(p: _Prepared, term_id: str, inst: Optional[Instantiation] = None) -> VerifyReport:
     try:
-        rep = bounded_cost(e, fuel, inst=inst)
-        res = evaluate(signature_for(e), e, fuel)
+        _refuse_unbounded(p.term)
+        rep = _bounded_cost(p.meta(), p.fuel, inst)
+        res = p.evaluation()
     except WritError as err:
         return _fail(term_id, "bound", _err(err))
     evidence: dict[str, object] = {"predicted": rep.predicted, "observed": res.steps}
@@ -258,10 +331,15 @@ def verify_majorant(
     fuel: Fuel = DEFAULT_FUEL,
 ) -> VerifyReport:
     """The majorant of a numeral-valued term must dominate its value."""
-    term_id = term_id or render_term(e)
+    return _check_majorant(_Prepared(e, fuel), term_id or render_term(e), inst)
+
+
+def _check_majorant(
+    p: _Prepared, term_id: str, inst: Optional[Instantiation] = None
+) -> VerifyReport:
     try:
-        maj = majorant(e, fuel, inst=inst)
-        res = evaluate(signature_for(e), e, fuel)
+        maj = _majorant(p.meta(), p.fuel, inst)
+        res = p.evaluation()
     except WritError as err:
         return _fail(term_id, "majorant", _err(err))
     n = numeral_value(res.value)
@@ -398,29 +476,20 @@ def _annotations(text: str) -> list[str]:
     return _split_specs(m.group(1)) if m else []
 
 
-_CHECKS = {"cost": verify_exact_cost, "bound": verify_bound, "majorant": verify_majorant}
+_CHECKS = {"cost": _check_cost, "bound": _check_bound, "majorant": _check_majorant}
 
 
-def _dispatch(
-    spec: str,
-    term: Term,
-    term_id: str,
-    fuel: Fuel,
-    trials: int,
-    seed: int,
-) -> VerifyReport:
+def _dispatch(spec: str, p: _Prepared, term_id: str, trials: int, seed: int) -> VerifyReport:
     check = _CHECKS.get(spec)
     if check is not None:
-        return check(term, term_id=term_id, fuel=fuel)
+        return check(p, term_id)
     m = re.fullmatch(r"modulus\((.*)\)", spec)
     if m:
         try:
             g = oracle_from_string(m.group(1))
         except ValueError as err:
             return _fail(term_id, spec, f"bad oracle: {err}")
-        return verify_modulus(
-            term, g, trials=trials, seed=seed, term_id=term_id, fuel=fuel
-        )
+        return _check_modulus(p, g, trials, seed, term_id)
     return _fail(term_id, spec, f"unknown analysis {spec!r}")
 
 
@@ -432,7 +501,9 @@ def verify_file(
 ) -> list[VerifyReport]:
     """Run every annotated analysis of one .wt file; a file that cannot be
     read as UTF-8, or a term nested past the host's recursion limit, gives
-    one failure report for the file."""
+    one failure report for the file. The analyses share one preparation of
+    the term (see _Prepared): one typecheck, translation, evaluation and
+    oracle runner for all of them."""
     path = Path(path)
     term_id = path.name
     try:
@@ -445,12 +516,13 @@ def verify_file(
             term = parse_term(text)
         except ParseError as err:
             return [_fail(term_id, "parse", str(err))]
+        p = _Prepared(term, fuel)
         try:
-            typecheck(signature_for(term), {}, term)
+            p.type()
         except WritError as err:
             # one report for the file; the analyses are not attempted
             return [_fail(term_id, "check", _err(err))]
-        return [_dispatch(s, term, term_id, fuel, trials, seed) for s in specs]
+        return [_dispatch(s, p, term_id, trials, seed) for s in specs]
     except RecursionError:
         return [_fail(term_id, "depth", "term too deeply nested")]
 

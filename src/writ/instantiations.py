@@ -56,12 +56,13 @@ from .engine import (
     _VALUES,
 )
 from .evaluator import DEFAULT_FUEL, Fuel
-from .meta import _translate, translate
+from .meta import MetaTerm, _translate, translate
 from .signatures import BUILTINS, Builtin, OracleSpec, signature_for
 from .syntax import (
     NAT,
     Arrow,
     Term,
+    Ty,
     render_term,
     render_type,
     symbols,
@@ -368,12 +369,22 @@ def modulus(
     when nothing is queried.
     """
     sig = signature_for(e)
-    ty = typecheck(sig, {}, e)
+    _require_type_two(e, typecheck(sig, {}, e))
+    # e is typechecked above, so it is translated without a second check
+    return _modulus(_translate(sig, e), g, fuel, inst)
+
+
+def _require_type_two(e: Term, ty: Ty) -> None:
     if ty != _TYPE_TWO:
         raise TypeMismatch(render_type(_TYPE_TWO), render_type(ty), render_term(e))
+
+
+def _modulus(
+    mt: MetaTerm, g: OracleSpec, fuel: Fuel, inst: Optional[Instantiation]
+) -> ModulusReport:
+    """modulus of the translation mt of a term of type two."""
     active = inst if inst is not None else continuity_inst(g, fuel)
-    # e is typechecked above, so it is translated without a second check
-    den = denote(active, {}, _translate(sig, e))
+    den = denote(active, {}, mt)
     support_raw, out = pair_parts(compose(active, den, spair((), active.func("alpha"))))
     support = tuple(support_raw)
     phi = max(support) + 1 if support else 0
@@ -387,9 +398,13 @@ def exact_cost(
     inst: Optional[Instantiation] = None,
 ) -> CostReport:
     """Predicted step count and semantic value of a closed term."""
-    sig = signature_for(e)
+    return _exact_cost(translate(signature_for(e), {}, e), fuel, inst)
+
+
+def _exact_cost(mt: MetaTerm, fuel: Fuel, inst: Optional[Instantiation]) -> CostReport:
+    """exact_cost of a translated term."""
     active = inst if inst is not None else cost_exact_inst(fuel)
-    cost, value = pair_parts(denote(active, {}, translate(sig, {}, e)))
+    cost, value = pair_parts(denote(active, {}, mt))
     return CostReport(predicted=cost, semantic=value, mode=EXACT)
 
 
@@ -405,6 +420,11 @@ def bounded_cost(
     size-based bound (sizes forget numeral depth), so terms using them are
     rejected.
     """
+    _refuse_unbounded(e)
+    return _bounded_cost(translate(signature_for(e), {}, e), fuel, inst)
+
+
+def _refuse_unbounded(e: Term) -> None:
     names = symbols(e)
     for banned in ("bar", "bar1", "ext"):
         if banned in names:
@@ -414,9 +434,12 @@ def bounded_cost(
             raise UnsupportedSymbol(
                 name, "sizes are uniform on numerals, so numeral recursion depth is invisible"
             )
-    sig = signature_for(e)
+
+
+def _bounded_cost(mt: MetaTerm, fuel: Fuel, inst: Optional[Instantiation]) -> CostReport:
+    """bounded_cost of the translation of a term it does not refuse."""
     active = inst if inst is not None else cost_bounded_inst(fuel)
-    cost, value = pair_parts(denote(active, {}, translate(sig, {}, e)))
+    cost, value = pair_parts(denote(active, {}, mt))
     return CostReport(predicted=cost, semantic=value, mode=BOUND)
 
 
@@ -427,9 +450,13 @@ def majorant(
     inst: Optional[Instantiation] = None,
 ) -> SemVal:
     """A semantic value dominating e's value pointwise."""
-    sig = signature_for(e)
+    return _majorant(translate(signature_for(e), {}, e), fuel, inst)
+
+
+def _majorant(mt: MetaTerm, fuel: Fuel, inst: Optional[Instantiation]) -> SemVal:
+    """majorant of a translated term."""
     active = inst if inst is not None else majorizability_inst(fuel)
-    _, value = pair_parts(denote(active, {}, translate(sig, {}, e)))
+    _, value = pair_parts(denote(active, {}, mt))
     return value
 
 

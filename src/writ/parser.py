@@ -57,7 +57,7 @@ _TOKEN_RE = re.compile(
     | (?P<rbracket>\])
     | (?P<comma>,)
     | (?P<colon>:)
-    | (?P<num>\d+)
+    | (?P<num>[0-9]+)
     | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
     | (?P<eof>\Z)
     | (?P<bad>.)

@@ -163,10 +163,10 @@ def test_oracle_rec_agrees(n, g):
 
 def _runner_outcome(run, g):
     try:
-        res = run(g)
+        value, steps, queries = run(g)
     except FuelExhausted as err:
         return ("fuel", err.steps)
-    return (render_term(res.value), res.steps, res.queries)
+    return (render_term(numeral(value)), steps, queries)
 
 
 def _mixed_oracles():

@@ -1,7 +1,9 @@
 """Semantic domains, the metalanguage interpreter, and the plain semantics."""
 
+import gc
 import io
 import re
+import weakref
 import sys
 import tokenize
 from collections import Counter
@@ -603,10 +605,12 @@ def test_a_malformed_closure_body_raises_at_each_call_and_not_before():
     mt = MPair(IOTA, MLam("y", NAT_TY, object(), frozenset()))
     shown = _agrees_through_calls(mt, calls=_apply(Base(0)))
     assert shown[0] == [0, "<function>"] and shown[1][0] == "MetaTypeMismatch"
-    f = as_pair(denote(cost_exact_inst(), {}, mt)).snd
+    # a second denote of the same term, which keeps no failed scope, too
     for _ in range(2):
-        with pytest.raises(MetaTypeMismatch):
-            as_fun(f).fn(Base(0))
+        f = as_pair(denote(cost_exact_inst(), {}, mt)).snd
+        for _ in range(2):
+            with pytest.raises(MetaTypeMismatch):
+                as_fun(f).fn(Base(0))
 
 
 def test_a_symbol_body_flattens_to_its_redex_free_core():
@@ -624,6 +628,47 @@ def test_a_symbol_body_flattens_to_its_redex_free_core():
 
 
 # ---------------------------------------------------------------- compiling
+
+SCOPED = "rec[Nat] 1 (fn n:Nat => fn p:Nat => add p (mul n ((fn x:Nat => succ x) p))) 4"
+
+
+def test_a_meta_term_is_flattened_once_for_every_instantiation(monkeypatch):
+    flattened = []
+    flatten = engine._flatten
+
+    def counting(root, params=()):
+        flattened.append(params)
+        return flatten(root, params)
+
+    def fresh():
+        term = parse_term(SCOPED)
+        return translate(signature_for(term), {}, term)
+
+    monkeypatch.setattr(engine, "_flatten", counting)
+    mt = fresh()
+    insts = [cost_exact_inst(), majorizability_inst(), continuity_inst(Identity())]
+    values = [render_semval(denote(insts[0], {}, mt))]
+    made = len(flattened)
+    assert made > 1  # the top level and the bodies of the step
+    values += [render_semval(denote(inst, {}, mt)) for inst in insts[1:]]
+    assert len(flattened) == made  # the second and third denote flatten nothing
+    assert values == [render_semval(denote(inst, {}, fresh())) for inst in insts]
+    assert values[1] == [None, 47]
+
+
+def test_the_scopes_of_a_meta_term_leave_with_it():
+    term = parse_term(SCOPED)
+    mt = translate(signature_for(term), {}, term)
+    before = set(engine._SCOPES)
+    value = denote(cost_exact_inst(), {}, mt)
+    kept = set(engine._SCOPES) - before
+    assert id(mt) in kept and len(kept) > 1
+    alive = weakref.ref(mt)
+    del mt, term, value
+    gc.collect()
+    assert alive() is None
+    assert not kept & set(engine._SCOPES)
+
 
 def test_compiled_scopes_are_shared_across_names_and_sizes():
     exact_cost(parse_term("rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 5"))

@@ -86,6 +86,23 @@ def test_cli_bytes_match_golden(path):
     assert {c: digest(run(c, path)) for c in golden} == golden
 
 
+# the sha256 of stdout of `verify --corpus corpus`, at the default seed in
+# JSON and at seed 7 in text: all 59 files in one process, so that nothing
+# one file leaves behind (a cached scope, say) can change another's reports
+WHOLE_CORPUS = {
+    (): "d829681eb8065ca448e411f679eb0d6d2c313cb92727e4db0c1109e1fd6a776b",
+    ("--seed", "7", "--text"): "46bebbe715106c6590faf1ebad5c537a0b5f1df2dcaf810661e7e6bd49984cb3",
+}
+
+
+@pytest.mark.parametrize("flags", WHOLE_CORPUS, ids=lambda flags: " ".join(flags) or "default")
+def test_verify_of_the_whole_corpus_matches_its_hash(flags):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["verify", "--corpus", str(CORPUS), *flags]) == 0
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == WHOLE_CORPUS[flags]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(compute(), indent=1, sort_keys=True) + "\n",
                       encoding="utf-8")

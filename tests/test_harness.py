@@ -2,6 +2,8 @@
 
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +20,8 @@ from writ import (
     Fuel,
     Identity,
     Table,
+    VerifyReport,
+    oracle_from_string,
     parse_term,
     render_term,
     run_corpus,
@@ -33,6 +37,7 @@ from writ import harness
 FF2 = "fn f:Nat->Nat => f (f 2)"
 REC3 = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3"
 FOLD2 = "fold[Nat] 0 (fn n:Nat => fn p:Nat => succ p) [7,7]"
+CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 
 
 def test_report_shape_and_serialization():
@@ -322,3 +327,49 @@ def test_run_corpus_deterministic(tmp_path):
     assert run_corpus(tmp_path, trials=20, seed=9) == run_corpus(
         tmp_path, trials=20, seed=9
     )
+
+
+# ---------------------------------------------------------------- sharing
+
+def _alone(spec, text, term_id, fuel, seed):
+    """The report of one spec from its public verifier, on a term parsed
+    afresh for it alone."""
+    term = parse_term(text)
+    checks = {"cost": verify_exact_cost, "bound": verify_bound, "majorant": verify_majorant}
+    if spec in checks:
+        return checks[spec](term, term_id=term_id, fuel=fuel)
+    try:
+        g = oracle_from_string(re.fullmatch(r"modulus\((.*)\)", spec).group(1))
+    except ValueError as err:
+        return VerifyReport(term_id, spec, "fail", f"bad oracle: {err}")
+    return verify_modulus(term, g, seed=seed, term_id=term_id, fuel=fuel)
+
+
+def _assert_shared_as_alone(path):
+    text = path.read_text(encoding="utf-8")
+    specs = harness._annotations(text)
+    for fuel in (Fuel(5), Fuel(50), Fuel()):
+        for seed in (0, 7):
+            shared = verify_file(path, fuel=fuel, seed=seed)
+            assert shared == [_alone(s, text, path.name, fuel, seed) for s in specs]
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.wt")), ids=lambda p: p.stem)
+def test_sharing_a_preparation_changes_no_report_of_a_corpus_file(path):
+    _assert_shared_as_alone(path)
+
+
+@pytest.mark.parametrize("specs, text, shown", [
+    ("majorant", "[1,2]", ["MissingInterpretation: no interpretation for symbol 'nil'"]),
+    ("modulus(identity)", "5", ["TypeMismatch: "]),
+    ("modulus()", FF2, ["bad oracle: "]),
+    ("modulus(identity), cost",
+     "fn f:Nat->Nat => rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) (f 3)", ["", ""]),
+    ("bound", REC3, ["UnsupportedSymbol: "]),
+])
+def test_sharing_a_preparation_changes_no_failure_report(tmp_path, specs, text, shown):
+    path = _write(tmp_path, "scratch.wt", f"-- analyses: {specs}\n{text}\n")
+    reports = verify_file(path)
+    assert [r.details[:len(want)] for r, want in zip(reports, shown)] == shown
+    assert len(reports) == len(shown)
+    _assert_shared_as_alone(path)

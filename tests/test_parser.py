@@ -126,6 +126,8 @@ def test_parse_type_right_associative():
     (parse_term, "fn x:(Nat => x", 1, 11, "expected ')', got '=>'"),
     # a byte-order mark is not whitespace
     (parse_term, "\ufeff0", 1, 1, "unexpected character '\\ufeff'"),
+    # a numeral is ASCII digits; other decimal digits are not read as them
+    (parse_term, "add ٣ [١,2]", 1, 5, "unexpected character '٣'"),
     (parse_type, "Nat->", 1, 6, "expected a type, got 'end of input'"),
     (parse_type, "Nat Nat", 1, 5, "unexpected trailing input 'Nat'"),
     (parse_type, "(Nat", 1, 5, "expected ')', got 'end of input'"),
