@@ -5,12 +5,13 @@ search cost, against an independently coded recurrence) and the comparison
 is packaged as a VerifyReport. run_corpus drives a directory of annotated
 .wt files and never lets one bad file poison the rest.
 
-verify_file prepares each term once for all of its analyses (_Prepared):
-one typecheck, translation and evaluation, and one compiled program of the
-term applied to alpha, which every modulus check of the file runs once per
-oracle, the live one and each perturbed one. A perturbed trial is one run
-of that program, its value compared as the machine's int. Each public
-verifier runs the same check as verify_file, on a preparation of its own.
+verify_file prepares each term once for all of its analyses
+(instantiations._Prepared, the analyses' own preparation): one typecheck,
+translation and evaluation, and one compiled program of the term applied to
+alpha, which every modulus check of the file runs once per oracle, the live
+one and each perturbed one. A perturbed trial is one run of that program,
+its value compared as the machine's int. Each public verifier runs the same
+check as verify_file, on a preparation of its own.
 """
 
 from __future__ import annotations
@@ -23,41 +24,26 @@ from typing import Callable, Mapping, Optional
 
 from .engine import COST, Base, BaseList, SemVal, as_base, as_fun, pair_parts
 from .errors import FuelExhausted, ParseError, WritError
-from .evaluator import DEFAULT_FUEL, EvalResult, Fuel, evaluate, evaluate_typed, oracle_runner
+from .evaluator import DEFAULT_FUEL, Fuel, evaluate
 from .instantiations import (
     Instantiation,
-    _bounded_cost,
-    _exact_cost,
-    _majorant,
-    _modulus,
-    _refuse_unbounded,
-    _require_type_two,
+    _Prepared,
     exact_cost,
     lift_builtin,
     spector_closed_form,
 )
-from .meta import MetaTerm, _translate
 from .parser import parse_term
-from .signatures import (
-    BUILTINS,
-    OracleSpec,
-    bar_rec,
-    oracle_from_string,
-    oracle_label,
-    signature_for,
-)
+from .signatures import BUILTINS, OracleSpec, oracle_from_string, oracle_label
 from .syntax import (
     App,
     Func,
     Term,
-    Ty,
     app,
     list_term,
     list_value,
     numeral,
     numeral_value,
     render_term,
-    typecheck,
 )
 
 __all__ = [
@@ -122,55 +108,6 @@ def _err(e: WritError) -> str:
     return f"{type(e).__name__}: {e}"
 
 
-# ---------------------------------------------------------------- preparation
-
-class _Prepared:
-    """The work on one term that its analyses share: its signature, and, each
-    made at its first use and kept, its type, its translation, its
-    evaluation and its oracle runner. A WritError that making one raises is
-    kept too, so each check that needs it again meets the same error.
-
-    Every check asks for what it reads in the order it reads it, so a file's
-    checks fail with the texts they fail with when each runs alone."""
-
-    def __init__(self, term: Term, fuel: Fuel) -> None:
-        self.term = term
-        self.fuel = fuel
-        self.sig = signature_for(term)
-        self._made: dict[str, object] = {}  # what -> it, or the WritError making it raised
-
-    def _once(self, what: str, make: Callable[[], object]):
-        if what not in self._made:
-            try:
-                self._made[what] = make()
-            except WritError as err:
-                self._made[what] = err
-        made = self._made[what]
-        if isinstance(made, WritError):
-            raise made
-        return made
-
-    def type(self) -> Ty:
-        return self._once("type", lambda: typecheck(self.sig, {}, self.term))
-
-    def meta(self) -> MetaTerm:
-        """The translation, behind the typecheck, as translate does it."""
-        self.type()
-        return self._once("meta", lambda: _translate(self.sig, self.term))
-
-    def evaluation(self) -> EvalResult:
-        """The evaluation, behind the typecheck, as evaluate does it."""
-        self.type()
-        return self._once("evaluation",
-                          lambda: evaluate_typed(self.sig, self.term, self.fuel))
-
-    def runner(self) -> Callable[[Callable[[int], int]], tuple]:
-        """The term applied to alpha, compiled once for every oracle of
-        every modulus check; only for a term of type two."""
-        return self._once("runner", lambda: oracle_runner(
-            self.sig, App(self.term, Func("alpha")), self.fuel))
-
-
 # ---------------------------------------------------------------- exact cost
 
 def verify_exact_cost(
@@ -186,7 +123,7 @@ def verify_exact_cost(
 def _check_cost(p: _Prepared, term_id: str, inst: Optional[Instantiation] = None) -> VerifyReport:
     try:
         res = p.evaluation()
-        rep = _exact_cost(p.meta(), p.fuel, inst)
+        rep = p.cost(inst)
     except WritError as err:
         return _fail(term_id, "cost", _err(err))
     evidence = {"predicted": rep.predicted, "observed": res.steps}
@@ -215,7 +152,8 @@ def verify_modulus(
     """Replay the term against the live oracle, then against perturbed ones.
 
     Checks, in order: the predicted value matches evaluation with the oracle
-    installed; every logged query lies in the reported support; and for a
+    installed; every logged query lies in the reported support; the support
+    is the logged queries, in order and with repeats; and for a
     seeded batch of oracles mutated only at unclaimed positions below the
     modulus and at the _WINDOW positions from it up (a module constant, 8),
     the value never moves. Raises ValueError when trials is negative.
@@ -235,9 +173,8 @@ def _check_modulus(
         raise ValueError("trials must not be negative")
     analysis = f"modulus({oracle_label(g)})"
     try:
-        # e has type two, so e applied to alpha is well typed under every oracle
-        _require_type_two(p.term, p.type())
-        rep = _modulus(p.meta(), g, p.fuel, inst)
+        rep = p.modulus(g, inst)
+        # a type-two term applied to alpha is well typed under every oracle
         run = p.runner()
         value, _, queries = run(g)
     except WritError as err:
@@ -254,6 +191,9 @@ def _check_modulus(
                      evidence, trials, seed)
     if not set(queries) <= set(rep.support):
         return _fail(term_id, analysis, "evaluator queried outside the support",
+                     evidence, trials, seed)
+    if queries != rep.support:
+        return _fail(term_id, analysis, "support differs from the evaluator's queries",
                      evidence, trials, seed)
     rng = random.Random(seed)
     support = set(rep.support)
@@ -302,8 +242,7 @@ def verify_bound(
 
 def _check_bound(p: _Prepared, term_id: str, inst: Optional[Instantiation] = None) -> VerifyReport:
     try:
-        _refuse_unbounded(p.term)
-        rep = _bounded_cost(p.meta(), p.fuel, inst)
+        rep = p.bound(inst)
         res = p.evaluation()
     except WritError as err:
         return _fail(term_id, "bound", _err(err))
@@ -338,7 +277,7 @@ def _check_majorant(
     p: _Prepared, term_id: str, inst: Optional[Instantiation] = None
 ) -> VerifyReport:
     try:
-        maj = _majorant(p.meta(), p.fuel, inst)
+        maj = p.majorant(inst)
         res = p.evaluation()
     except WritError as err:
         return _fail(term_id, "majorant", _err(err))
@@ -400,12 +339,12 @@ def verify_spector(
     omega applied to the padded length-n prefix of the stream answers
     below n.
     """
-    sig = bar_rec()
     try:
         search = parse_term(SEARCH_TEMPLATE)
-        full = app(search, omega_term, beta_term, list_term(()))
-        res = evaluate(sig, full, fuel)
-        rep = exact_cost(full, fuel)
+        # the template holds bar, so the search's own signature is bar_rec
+        p = _Prepared(app(search, omega_term, beta_term, list_term(())), fuel)
+        res = p.evaluation()
+        rep = p.cost()
         omega_fun = exact_cost(omega_term, fuel).semantic
         beta_fun = exact_cost(beta_term, fuel).semantic
         closed = spector_closed_form(omega_fun, beta_fun, fuel)
@@ -429,11 +368,11 @@ def verify_spector(
     evidence["returned"] = n
     try:
         stream = [
-            numeral_value(evaluate(sig, App(beta_term, numeral(i)), fuel).value)
+            numeral_value(evaluate(p.sig, App(beta_term, numeral(i)), fuel).value)
             for i in range(n)
         ]
         probe = app(omega_term, App(Func("ext"), list_term(stream)))
-        settled = numeral_value(evaluate(sig, probe, fuel).value)
+        settled = numeral_value(evaluate(p.sig, probe, fuel).value)
     except WritError as err:
         return _fail(term_id, "spector", _err(err), evidence)
     evidence["settled_at"] = settled

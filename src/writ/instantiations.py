@@ -8,7 +8,9 @@
   bounds over the list fragment.
 - majorizability: no effect at all; values dominate the true results.
 
-Every analysis reads a term under its own signature, signature_for(e).
+Every analysis reads a term under its own signature, signature_for(e),
+through one preparation, _Prepared, which makes each phase once. The public
+analyses each run on one of their own; verify_file shares one per file.
 
 Every recursor of every analysis is one combinator, recursor: a loop that
 climbs from the base case and charges each unfold under the analysis's
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Callable, Iterable, Optional
 
-from .errors import FuelExhausted, ShapeMismatch, TypeMismatch, UnsupportedSymbol
+from .errors import FuelExhausted, ShapeMismatch, TypeMismatch, UnsupportedSymbol, WritError
 from .engine import (
     COST,
     EXACT_CONS,
@@ -55,12 +57,14 @@ from .engine import (
     spair,
     _VALUES,
 )
-from .evaluator import DEFAULT_FUEL, Fuel
-from .meta import MetaTerm, _translate, translate
+from .evaluator import DEFAULT_FUEL, EvalResult, Fuel, evaluate_typed, oracle_runner
+from .meta import MetaTerm, _translate
 from .signatures import BUILTINS, Builtin, OracleSpec, signature_for
 from .syntax import (
     NAT,
+    App,
     Arrow,
+    Func,
     Term,
     Ty,
     render_term,
@@ -353,6 +357,90 @@ def majorizability_inst(fuel: Fuel = DEFAULT_FUEL) -> Instantiation:
 _TYPE_TWO = Arrow(Arrow(NAT, NAT), NAT)
 
 
+class _Prepared:
+    """The work on one term that its analyses share: its signature, and, each
+    made at its first use and kept, its type, its translation, its
+    evaluation and its oracle runner. A WritError that making one raises is
+    kept too, so each analysis that needs it again meets the same error.
+
+    Every analysis asks for what it reads in the order it reads it, so on a
+    shared preparation it fails with the text it fails with on its own."""
+
+    def __init__(self, term: Term, fuel: Fuel) -> None:
+        self.term = term
+        self.fuel = fuel
+        self.sig = signature_for(term)
+        self._made: dict[str, object] = {}  # what -> it, or the WritError making it raised
+
+    def _once(self, what: str, make: Callable[[], object]):
+        if what not in self._made:
+            try:
+                self._made[what] = make()
+            except WritError as err:
+                self._made[what] = err
+        made = self._made[what]
+        if isinstance(made, WritError):
+            raise made
+        return made
+
+    def type(self) -> Ty:
+        return self._once("type", lambda: typecheck(self.sig, {}, self.term))
+
+    def meta(self) -> MetaTerm:
+        """The translation, behind the typecheck, as translate does it."""
+        self.type()
+        return self._once("meta", lambda: _translate(self.sig, self.term))
+
+    def evaluation(self) -> EvalResult:
+        """The evaluation, behind the typecheck, as evaluate does it."""
+        self.type()
+        return self._once("evaluation",
+                          lambda: evaluate_typed(self.sig, self.term, self.fuel))
+
+    def runner(self) -> Callable[[Callable[[int], int]], tuple]:
+        """The term applied to alpha, compiled once for every oracle of
+        every modulus check; only for a term of type two."""
+        return self._once("runner", lambda: oracle_runner(
+            self.sig, App(self.term, Func("alpha")), self.fuel))
+
+    def cost(self, inst: Optional[Instantiation] = None) -> CostReport:
+        active = inst if inst is not None else cost_exact_inst(self.fuel)
+        cost, value = pair_parts(denote(active, {}, self.meta()))
+        return CostReport(predicted=cost, semantic=value, mode=EXACT)
+
+    def bound(self, inst: Optional[Instantiation] = None) -> CostReport:
+        """bounded_cost; the term's symbols are refused before it is translated."""
+        names = symbols(self.term)
+        for banned in ("bar", "bar1", "ext"):
+            if banned in names:
+                raise UnsupportedSymbol(banned, "unbounded search has no size bound")
+        for name in sorted(names):
+            if name.startswith("rec["):
+                raise UnsupportedSymbol(
+                    name, "sizes are uniform on numerals, so numeral recursion depth is invisible"
+                )
+        active = inst if inst is not None else cost_bounded_inst(self.fuel)
+        cost, value = pair_parts(denote(active, {}, self.meta()))
+        return CostReport(predicted=cost, semantic=value, mode=BOUND)
+
+    def majorant(self, inst: Optional[Instantiation] = None) -> SemVal:
+        active = inst if inst is not None else majorizability_inst(self.fuel)
+        _, value = pair_parts(denote(active, {}, self.meta()))
+        return value
+
+    def modulus(self, g: OracleSpec, inst: Optional[Instantiation] = None) -> ModulusReport:
+        """modulus under g; the term is typechecked, then required to be of type two."""
+        ty = self.type()
+        if ty != _TYPE_TWO:
+            raise TypeMismatch(render_type(_TYPE_TWO), render_type(ty), render_term(self.term))
+        active = inst if inst is not None else continuity_inst(g, self.fuel)
+        den = denote(active, {}, self.meta())
+        support_raw, out = pair_parts(compose(active, den, spair((), active.func("alpha"))))
+        support = tuple(support_raw)
+        phi = max(support) + 1 if support else 0
+        return ModulusReport(phi=phi, support=support, predicted_value=as_base(out).value)
+
+
 def modulus(
     e: Term,
     g: OracleSpec,
@@ -368,27 +456,7 @@ def modulus(
     query. The modulus is one past the largest queried position, or zero
     when nothing is queried.
     """
-    sig = signature_for(e)
-    _require_type_two(e, typecheck(sig, {}, e))
-    # e is typechecked above, so it is translated without a second check
-    return _modulus(_translate(sig, e), g, fuel, inst)
-
-
-def _require_type_two(e: Term, ty: Ty) -> None:
-    if ty != _TYPE_TWO:
-        raise TypeMismatch(render_type(_TYPE_TWO), render_type(ty), render_term(e))
-
-
-def _modulus(
-    mt: MetaTerm, g: OracleSpec, fuel: Fuel, inst: Optional[Instantiation]
-) -> ModulusReport:
-    """modulus of the translation mt of a term of type two."""
-    active = inst if inst is not None else continuity_inst(g, fuel)
-    den = denote(active, {}, mt)
-    support_raw, out = pair_parts(compose(active, den, spair((), active.func("alpha"))))
-    support = tuple(support_raw)
-    phi = max(support) + 1 if support else 0
-    return ModulusReport(phi=phi, support=support, predicted_value=as_base(out).value)
+    return _Prepared(e, fuel).modulus(g, inst)
 
 
 def exact_cost(
@@ -398,14 +466,7 @@ def exact_cost(
     inst: Optional[Instantiation] = None,
 ) -> CostReport:
     """Predicted step count and semantic value of a closed term."""
-    return _exact_cost(translate(signature_for(e), {}, e), fuel, inst)
-
-
-def _exact_cost(mt: MetaTerm, fuel: Fuel, inst: Optional[Instantiation]) -> CostReport:
-    """exact_cost of a translated term."""
-    active = inst if inst is not None else cost_exact_inst(fuel)
-    cost, value = pair_parts(denote(active, {}, mt))
-    return CostReport(predicted=cost, semantic=value, mode=EXACT)
+    return _Prepared(e, fuel).cost(inst)
 
 
 def bounded_cost(
@@ -420,27 +481,7 @@ def bounded_cost(
     size-based bound (sizes forget numeral depth), so terms using them are
     rejected.
     """
-    _refuse_unbounded(e)
-    return _bounded_cost(translate(signature_for(e), {}, e), fuel, inst)
-
-
-def _refuse_unbounded(e: Term) -> None:
-    names = symbols(e)
-    for banned in ("bar", "bar1", "ext"):
-        if banned in names:
-            raise UnsupportedSymbol(banned, "unbounded search has no size bound")
-    for name in sorted(names):
-        if name.startswith("rec["):
-            raise UnsupportedSymbol(
-                name, "sizes are uniform on numerals, so numeral recursion depth is invisible"
-            )
-
-
-def _bounded_cost(mt: MetaTerm, fuel: Fuel, inst: Optional[Instantiation]) -> CostReport:
-    """bounded_cost of the translation of a term it does not refuse."""
-    active = inst if inst is not None else cost_bounded_inst(fuel)
-    cost, value = pair_parts(denote(active, {}, mt))
-    return CostReport(predicted=cost, semantic=value, mode=BOUND)
+    return _Prepared(e, fuel).bound(inst)
 
 
 def majorant(
@@ -450,14 +491,7 @@ def majorant(
     inst: Optional[Instantiation] = None,
 ) -> SemVal:
     """A semantic value dominating e's value pointwise."""
-    return _majorant(translate(signature_for(e), {}, e), fuel, inst)
-
-
-def _majorant(mt: MetaTerm, fuel: Fuel, inst: Optional[Instantiation]) -> SemVal:
-    """majorant of a translated term."""
-    active = inst if inst is not None else majorizability_inst(fuel)
-    _, value = pair_parts(denote(active, {}, mt))
-    return value
+    return _Prepared(e, fuel).majorant(inst)
 
 
 def spector_closed_form(omega: SemVal, g: SemVal, fuel: Fuel = DEFAULT_FUEL) -> int:

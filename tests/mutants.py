@@ -8,7 +8,7 @@ is not checking anything.
 
 from dataclasses import replace
 
-from writ.engine import COST, Base, EffectTriple, Instantiation, SFun, as_base, spair
+from writ.engine import COST, Base, EffectTriple, Instantiation, SemVal, SFun, as_base, spair
 from writ.instantiations import (
     _join_max,
     _rec_indices,
@@ -34,6 +34,17 @@ def forgetful_continuity_inst(g: OracleSpec) -> Instantiation:
     inst = continuity_inst(g)
     leaky = EffectTriple((), lambda c: c, lambda a, b, c: a + b)
     return replace(inst, effect=leaky)
+
+
+def overclaiming_continuity_inst(g: OracleSpec) -> Instantiation:
+    """Continuity analysis whose oracle logs each query and the position after it."""
+    inst = continuity_inst(g)
+
+    def alpha(n: SemVal) -> SemVal:
+        k = as_base(n).value
+        return spair((k, k + 1), Base(g(k)))
+
+    return replace(inst, func_interp={**inst.func_interp, "alpha": SFun(alpha)})
 
 
 def undercounting_bounded_inst() -> Instantiation:

@@ -6,21 +6,28 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 
 from mutants import (
     forgetful_continuity_inst,
     overcharging_exact_inst,
+    overclaiming_continuity_inst,
     shrinking_majorizability_inst,
     undercounting_bounded_inst,
 )
 from term_strategies import FUNCTIONAL, N2N, closed_terms
 from writ import (
+    SEARCH_TEMPLATE,
     Constant,
     Fuel,
+    FuelExhausted,
     Identity,
     Table,
     VerifyReport,
+    app,
+    bar_rec,
+    evaluate,
+    list_term,
     oracle_from_string,
     parse_term,
     render_term,
@@ -32,7 +39,7 @@ from writ import (
     verify_modulus,
     verify_spector,
 )
-from writ import harness
+from writ import harness, instantiations
 
 FF2 = "fn f:Nat->Nat => f (f 2)"
 REC3 = "rec[Nat] 0 (fn n:Nat => fn p:Nat => succ p) 3"
@@ -87,6 +94,38 @@ def test_verify_modulus_catches_leaky_effects():
     assert rep.details == "evaluator queried outside the support"
 
 
+def _corpus_modulus_checks():
+    """Each modulus(…) check of the corpus: its file's name and term, and its oracle."""
+    checks = []
+    for path in sorted(CORPUS.glob("*.wt")):
+        text = path.read_text(encoding="utf-8")
+        for spec in harness._annotations(text):
+            m = re.fullmatch(r"modulus\((.*)\)", spec)
+            if m:
+                checks.append((path.name, parse_term(text), oracle_from_string(m.group(1))))
+    return checks
+
+
+def test_verify_modulus_catches_overclaiming_on_every_corpus_check_that_queries():
+    # the claimed support holds every query, so only the whole trace shows
+    # the positions the evaluator never asked for
+    checks = _corpus_modulus_checks()
+    assert len(checks) == 48
+    querying = 0
+    for name, term, g in checks:
+        honest = verify_modulus(term, g, trials=0, term_id=name)
+        assert honest.passed, (name, honest.details)
+        rep = verify_modulus(term, g, trials=0, term_id=name,
+                             inst=overclaiming_continuity_inst(g))
+        if honest.evidence["support"]:
+            querying += 1
+            assert not rep.passed, name
+            assert rep.details == "support differs from the evaluator's queries"
+        else:
+            assert rep == honest, name
+    assert querying > 0
+
+
 def test_verify_modulus_is_deterministic_per_seed():
     t = parse_term(FF2)
     a = verify_modulus(t, Identity(), trials=30, seed=11)
@@ -106,13 +145,13 @@ def test_verify_modulus_runs_each_trial_under_its_own_oracle(monkeypatch):
     # a mutated oracle differs from the live one only where a correct
     # evaluator never looks, so the value alone cannot show which one ran
     calls = []  # (oracle, argument); keeping every oracle alive keeps ids apart
-    make_runner = harness.oracle_runner
+    make_runner = instantiations.oracle_runner
 
     def recording_runner(*args):
         run = make_runner(*args)
         return lambda g: run(lambda n: calls.append((g, n)) or g(n))
 
-    monkeypatch.setattr(harness, "oracle_runner", recording_runner)
+    monkeypatch.setattr(instantiations, "oracle_runner", recording_runner)
     rep = verify_modulus(parse_term(FF2), Identity(), trials=10, seed=5)
     assert rep.passed
     assert rep.evidence["perturbations_run"] == 10
@@ -129,7 +168,7 @@ def test_verify_modulus_draws_its_mutations_in_seeded_order(monkeypatch):
     # per chosen position in ascending order; a mutated oracle answers zero
     # past the window, as a table with default zero does
     seen = []
-    make_runner = harness.oracle_runner
+    make_runner = instantiations.oracle_runner
 
     def recording_runner(*args):
         run = make_runner(*args)
@@ -139,7 +178,7 @@ def test_verify_modulus_draws_its_mutations_in_seeded_order(monkeypatch):
             return run(g)
         return recorded
 
-    monkeypatch.setattr(harness, "oracle_runner", recording_runner)
+    monkeypatch.setattr(instantiations, "oracle_runner", recording_runner)
     t = parse_term("fn f:Nat->Nat => f (succ (f 1))")
     assert verify_modulus(t, Identity(), trials=20, seed=7).passed
     rng = random.Random(7)
@@ -214,12 +253,21 @@ def test_verify_spector_probing_pair():
     assert rep.evidence["closed_form"] == rep.evidence["recurrence"] == 46
 
 
+@example(parse_term("fn x:Nat->Nat => fold[Nat] (ext [3] 0) mul (cons [2,2,3] 3)"),
+         parse_term("fn x:Nat => x"))
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(closed_terms(FUNCTIONAL, lists=True), closed_terms(N2N, lists=True))
 def test_verify_spector_passes_on_generated_searches(omega, beta):
     # the full term's prediction is its steps, and the count it returns is
-    # a settling point, for any functional and stream the generator draws
-    rep = verify_spector(omega, beta, fuel=Fuel(2000))
+    # a settling point, for any functional and stream the generator draws;
+    # a search the machine cannot finish in 2,000 steps (the example takes
+    # 2,199) is verified at the default fuel instead
+    fuel = Fuel(2000)
+    try:
+        evaluate(bar_rec(), app(parse_term(SEARCH_TEMPLATE), omega, beta, list_term(())), fuel)
+    except FuelExhausted:
+        fuel = Fuel()
+    rep = verify_spector(omega, beta, fuel=fuel)
     assert rep.passed, (render_term(omega), render_term(beta), rep.details)
 
 

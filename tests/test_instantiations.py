@@ -132,7 +132,7 @@ def test_modulus_agrees_with_live_evaluation():
         rep = modulus(t, g)
         live = evaluate_with_oracle(system_t(), App(t, Func("alpha")), g)
         assert rep.predicted_value == numeral_value(live.value)
-        assert set(live.queries) <= set(rep.support)
+        assert live.queries == rep.support
 
 
 def test_modulus_support_keeps_queries_on_both_sides_of_the_recursive_value():
@@ -409,6 +409,27 @@ def test_majorant_lt_is_constant_one():
     # the exact comparison is not monotone; the constant upper bound is
     assert as_base(majorant(parse_term("lt 0 5"))).value == 1
     assert as_base(majorant(parse_term("lt 5 0"))).value == 1
+
+
+# ---------------------------------------------------------------- failure order
+
+@pytest.mark.parametrize("analysis, src, error, message", [
+    # the refusal comes before the typecheck, which would fail too
+    (bounded_cost, "add (rec[Nat] 0 (fn n:Nat => fn p:Nat => p) 1) []", UnsupportedSymbol,
+     "analysis does not support symbol 'rec[Nat]': sizes are uniform on numerals, "
+     "so numeral recursion depth is invisible"),
+    # the typecheck comes before the check that the type is two
+    (lambda t: modulus(t, Identity()), "fn f:Nat->Nat => f []", TypeMismatch,
+     "expected Nat, got List in 'f []'"),
+    (lambda t: modulus(t, Identity()), "fn x:Nat => x", TypeMismatch,
+     "expected (Nat->Nat)->Nat, got Nat->Nat in 'fn x:Nat => x'"),
+    (exact_cost, "add 1 []", TypeMismatch, "expected Nat, got List in 'add 1 []'"),
+    (majorant, "add 1 []", TypeMismatch, "expected Nat, got List in 'add 1 []'"),
+])
+def test_each_analysis_fails_with_its_first_failing_phase(analysis, src, error, message):
+    with pytest.raises(error) as raised:
+        analysis(parse_term(src))
+    assert str(raised.value) == message
 
 
 # ---------------------------------------------------------------- builtins
